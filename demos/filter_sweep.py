@@ -14,7 +14,7 @@ the no-filter baseline.
 from spinctrl import ExperimentConfig, gamma_sweep
 
 cfg = ExperimentConfig(v0="matched")
-rows = gamma_sweep(cfg, max_workers=4)
+rows = gamma_sweep(cfg)
 
 print("gamma      J(gamma)       status")
 for row in rows:

@@ -26,13 +26,13 @@ base = ExperimentConfig(
 )
 
 for v0 in STUDY_VERTICES:
-    study = uniqueness_study(replace(base, gamma=1.0, v0=v0), max_workers=4)
+    study = uniqueness_study(replace(base, gamma=1.0, v0=v0))
     print(f"gamma=1, v0={list(v0)}: {study.classification}, "
           f"max pairwise control discrepancy {study.max_pairwise_ctrl:g}, "
           f"cost discrepancy {study.max_pairwise_cost:g}")
 
 print()
-nofilter = uniqueness_study(replace(base, filter_enabled=False), max_workers=4)
+nofilter = uniqueness_study(replace(base, filter_enabled=False))
 split = nofilter.family_split
 print(f"no filter: {nofilter.classification}; the two grid families land on")
 print(f"distinct controls, relative L2 gap {split.rel_ctrl:.3f}, while the")
@@ -41,6 +41,6 @@ print(f"statuses: {sorted(set(nofilter.statuses))} "
       "(the iteration bounces between twins; the best member is kept)")
 
 print()
-fast = uniqueness_study(replace(base, gamma=10.0, v0=STUDY_VERTICES[0]), max_workers=4)
+fast = uniqueness_study(replace(base, gamma=10.0, v0=STUDY_VERTICES[0]))
 print(f"gamma=10: {fast.classification}; a fast filter inherits the")
 print("degeneracy: every start ends on a period-2 cycle of near-equal costs")

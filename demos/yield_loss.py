@@ -13,7 +13,7 @@ filter in the sweep costs less than 1.5% of the achievable yield change.
 from spinctrl import ExperimentConfig, yield_loss_table
 
 cfg = ExperimentConfig()
-rows, summary = yield_loss_table(cfg, max_workers=4)
+rows, summary = yield_loss_table(cfg)
 
 print(f"{len(rows)} (p, u0, gamma) cases")
 print()

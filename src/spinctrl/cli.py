@@ -20,56 +20,25 @@ import numpy as np
 
 from .dynamics import ControlSignal, IntegrationOverflow, Prism
 from .experiments import (
+    SCHEMA,
     ConfigError,
-    ExperimentConfig,
     canonical_json,
     compare_controls,
     config_from_dict,
     gamma_sweep,
-    persist_grid_study,
-    persist_run,
-    persist_sweep,
-    persist_yield_loss,
-    run_id,
     run_single,
     simulate,
     uniqueness_study,
-    write_csv,
+    write_csv,  # noqa: F401  re-exported so that tracers can rebind it here
+    write_run,
     yield_loss_table,
 )
 from .optimize import STATUS_MAX_ITERS
 
-CONFIG_KEY_HELP = """\
-config keys (JSON document; --override key=value patches single keys):
-  p                               proton count (1..7)
-  t_final                         pulse duration, us (default 0.5)
-  steps                           time intervals (default 200)
-  seed                            seed recorded for randomized diagnostics
-  constants.gyro                  gyromagnetic ratio, rad/us/mT
-  constants.k_singlet             singlet recombination rate, 1/us
-  constants.k_triplet             triplet recombination rate, 1/us
-  hyperfine                       p rows of [Ax, Ay, Az], mT
-  prism.lower / prism.upper       control box corners, uT
-  filter.enabled                  true: first-order filter; false: v = u
-  filter.gamma                    filter rate, 1/us
-  filter.v0                       initial field, uT 3-vector, or "matched"
-  u0.kind                         constant | grid | explicit
-  u0.vector                       constant starting control, uT
-  u0.values                       explicit steps x 3 control table, uT
-  u0.grid.vertex                  grid anchor vertex, uT
-  u0.grid.spacing                 grid spacing, uT (default 0.5)
-  optimizer.method                gpm | ipmp  (shorthand: optimizer=ipmp)
-  optimizer.gpm.eps_cost          relative cost tolerance
-  optimizer.gpm.eps_ctrl          relative control-change tolerance
-  optimizer.gpm.max_iters         iteration cap
-  optimizer.gpm.lambda0           first step size (default: auto)
-  optimizer.gpm.step_scale        multiplier on the Barzilai-Borwein step
-  optimizer.gpm.bb_unsquared_denominator  unsquared-norm step variant
-  optimizer.ipmp.max_iters        iteration cap
-  optimizer.ipmp.cycle_window     cycle-detection history length
-  sweep.gammas                    gamma values for sweep-gamma/yield-loss, 1/us
-  sweep.p_max                     largest proton count in yield-loss
-"""
+CONFIG_KEY_HELP = (
+    "config keys (JSON document; --override key=value patches single keys):\n"
+    + "".join(f"  {key:<31} {text}\n" for key, _, _, text in SCHEMA)
+)
 
 
 def _parse_override_value(text):
@@ -87,15 +56,9 @@ def apply_override(document, assignment):
     key = key.strip()
     if key == "optimizer":  # shorthand for the method name
         key = "optimizer.method"
-    template = ExperimentConfig().to_dict()
-    parts = key.split(".")
-    node = template
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"unknown config key: {key}")
-        node = node[part]
-    if not isinstance(node, dict) or parts[-1] not in node:
+    if key not in {row[0] for row in SCHEMA}:
         raise ConfigError(f"unknown config key: {key}")
+    parts = key.split(".")
     target = document
     for part in parts[:-1]:
         target = target.setdefault(part, {})
@@ -217,39 +180,25 @@ def _echo_config(config):
 def cmd_simulate(args):
     config = load_config(args.config, args.override)
     config, problem, fields, forward, cost = simulate(config)
-    out = _out_dir(args)
-    rid = run_id(config, "simulate")
-    run_dir = os.path.join(out, "simulate", rid)
-    os.makedirs(run_dir, exist_ok=True)
-    with open(os.path.join(run_dir, "config.json"), "w") as fh:
-        fh.write(canonical_json(config.to_dict()) + "\n")
-    with open(os.path.join(run_dir, "report.json"), "w") as fh:
-        fh.write(canonical_json({"cost": float(cost)}) + "\n")
     nodes = problem.grid.nodes
-    v = fields.node_values
     norms = np.einsum("ksl,ksl->k", forward.states.conj(), forward.states).real
     norms /= forward.count  # mean over the ensemble; the law is per state
-    write_csv(
-        os.path.join(run_dir, "field.csv"),
-        ("t", "v_x", "v_y", "v_z", "norm_sq"),
-        [
-            (nodes[k], v[k, 0], v[k, 1], v[k, 2], norms[k])
-            for k in range(len(nodes))
-        ],
-    )
+    files = {
+        "report.json": {"cost": float(cost)},
+        "field.csv": (
+            ("t", "v_x", "v_y", "v_z", "norm_sq"),
+            np.column_stack((nodes, fields.node_values, norms)),
+        ),
+    }
     if args.dump_states:
-        rows = []
-        states = forward.states
-        for k in range(states.shape[0]):
-            for l in range(states.shape[2]):
-                for c in range(states.shape[1]):
-                    z = states[k, c, l]
-                    rows.append((nodes[k], l, c, z.real, z.imag))
-        write_csv(
-            os.path.join(run_dir, "states.csv"),
+        states = forward.states.transpose(0, 2, 1)  # (node, state, component)
+        k, state, component = np.indices(states.shape).reshape(3, -1)
+        z = states.reshape(-1)
+        files["states.csv"] = (
             ("t", "state", "component", "re", "im"),
-            rows,
+            zip(nodes[k], state, component, z.real, z.imag),
         )
+    run_dir = write_run(_out_dir(args), "simulate", config, files)
     print(f"simulate: J={float(cost):.10f} run={run_dir}")
     return 0
 
@@ -269,7 +218,13 @@ def cmd_optimize(args):
 def cmd_sweep_gamma(args):
     config = load_config(args.config, args.override)
     rows = gamma_sweep(config)
-    run_dir = persist_sweep(_out_dir(args), config, rows)
+    table = [(row.label, row.cost, row.status) for row in rows]
+    run_dir = write_run(
+        _out_dir(args),
+        "sweep-gamma",
+        config,
+        {"sweep.csv": (("gamma", "J", "status"), table)},
+    )
     for row in rows:
         print(f"gamma={row.label}: J={row.cost:.10f} status={row.status}")
     print(f"sweep-gamma: run={run_dir}")
@@ -281,7 +236,21 @@ def cmd_sweep_gamma(args):
 def cmd_yield_loss(args):
     config = load_config(args.config, args.override)
     rows, summary = yield_loss_table(config)
-    run_dir = persist_yield_loss(_out_dir(args), config, rows, summary)
+    header = ("p", "u0", "gamma", "J_filtered", "J_nofilter", "loss_percent")
+    table = [
+        (r.p, r.u0_label, r.gamma, r.j_filtered, r.j_nofilter, r.loss_percent)
+        for r in rows
+    ]
+    summary_doc = [
+        {"p": p, "u0": label, "min_loss_percent": lo, "max_loss_percent": hi}
+        for (p, label), (lo, hi) in sorted(summary.items())
+    ]
+    run_dir = write_run(
+        _out_dir(args),
+        "yield-loss",
+        config,
+        {"yield_loss.csv": (header, table), "summary.json": summary_doc},
+    )
     for (p, label), (lo, hi) in sorted(summary.items()):
         print(f"p={p} u0={label}: loss% in [{lo:.4f}, {hi:.4f}]")
     print(f"yield-loss: run={run_dir}")
@@ -291,7 +260,24 @@ def cmd_yield_loss(args):
 def cmd_grid_study(args):
     config = load_config(args.config, args.override)
     study = uniqueness_study(config)
-    run_dir = persist_grid_study(_out_dir(args), config, study)
+    report = {
+        "classification": study.classification,
+        "max_pairwise_ctrl": study.max_pairwise_ctrl,
+        "max_pairwise_cost": study.max_pairwise_cost,
+        "family_split": {
+            "rel_ctrl": study.family_split.rel_ctrl,
+            "rel_cost": study.family_split.rel_cost,
+        },
+        "statuses": list(study.statuses),
+        "costs": [float(c) for c in study.costs],
+    }
+    runs = zip(range(len(study.costs)), study.statuses, study.costs)
+    run_dir = write_run(
+        _out_dir(args),
+        "grid-study",
+        config,
+        {"report.json": report, "runs.csv": (("index", "status", "J"), runs)},
+    )
     print(
         f"grid-study: classification={study.classification} "
         f"max_ctrl={study.max_pairwise_ctrl:.6f} "

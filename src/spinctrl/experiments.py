@@ -16,7 +16,8 @@ layout:
 
 plus flat summary tables (sweep.csv, yield_loss.csv) for the sweep studies.
 The run id is a hash of the resolved configuration, so identical configs
-land in identical directories with bit-identical files.
+land in identical directories with bit-identical files.  write_run is the
+one writer; it moves each finished file into place atomically.
 
 Configs carry fields in uT (controls, prisms, filter state); hyperfine rows
 are mT.  A filter v0 may be the string "matched", which resolves to the
@@ -28,9 +29,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -61,6 +64,7 @@ from .optimize import (
     gpm_optimize,
     ipmp_optimize,
 )
+from .spin import MAX_ENSEMBLE_BYTES, MAX_PROTONS
 
 # Reference parameter block: electromagnetic prisms (uT), gamma sample for
 # sweeps, starting controls for the yield-loss table, and the two grid
@@ -150,7 +154,7 @@ class ExperimentConfig:
     Defaults reproduce the reference single-proton scenario: T = 0.5 us on
     200 intervals, the standard hyperfine table, prism [3,6]^3 uT, filter
     gamma = 1 with v0 = [3,3,3] uT, constant starting control [3,3,3] uT,
-    IPMP optimizer.
+    IPMP optimizer.  SCHEMA maps each attribute to its document key.
     """
 
     p: int = 1
@@ -175,93 +179,182 @@ class ExperimentConfig:
     ipmp: IpmpSettings = field(default_factory=IpmpSettings)
     gammas: tuple = GAMMA_SWEEP_DEFAULT
     p_max: int = 3
-    seed: int = 2024
 
     def to_dict(self):
         """Nested plain-data form, the on-disk schema."""
-        hyperfine = self.hyperfine
-        if hyperfine is None:
-            hyperfine = tuple(map(tuple, default_hyperfine(self.p)))
-        return {
-            "p": self.p,
-            "t_final": self.t_final,
-            "steps": self.steps,
-            "seed": self.seed,
-            "constants": {
-                "gyro": self.gyro,
-                "k_singlet": self.k_singlet,
-                "k_triplet": self.k_triplet,
-            },
-            "hyperfine": [list(row) for row in hyperfine],
-            "prism": {
-                "lower": list(self.prism_lower),
-                "upper": list(self.prism_upper),
-            },
-            "filter": {
-                "enabled": self.filter_enabled,
-                "gamma": self.gamma,
-                "v0": self.v0 if isinstance(self.v0, str) else list(self.v0),
-            },
-            "u0": {
-                "kind": self.u0_kind,
-                "vector": list(self.u0_vector),
-                "values": None
-                if self.u0_values is None
-                else [list(row) for row in self.u0_values],
-                "grid": {
-                    "vertex": list(self.grid_vertex),
-                    "spacing": self.grid_spacing,
-                },
-            },
-            "optimizer": {
-                "method": self.method,
-                "gpm": {
-                    "eps_cost": self.gpm.eps_cost,
-                    "eps_ctrl": self.gpm.eps_ctrl,
-                    "max_iters": self.gpm.max_iters,
-                    "lambda0": self.gpm.lambda0,
-                    "step_scale": self.gpm.step_scale,
-                    "bb_unsquared_denominator": self.gpm.bb_unsquared_denominator,
-                },
-                "ipmp": {
-                    "max_iters": self.ipmp.max_iters,
-                    "cycle_window": self.ipmp.cycle_window,
-                },
-            },
-            "sweep": {"gammas": list(self.gammas), "p_max": self.p_max},
-        }
+        document = {}
+        for key, attr, _, _ in SCHEMA:
+            value = reduce(getattr, attr.split("."), self)
+            if key == "hyperfine" and value is None:
+                value = default_hyperfine(self.p)
+            *sections, leaf = key.split(".")
+            node = document
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[leaf] = _plain(value)
+        return document
 
 
-def _reject_unknown(data, schema, path=""):
-    for key, value in data.items():
-        where = f"{path}.{key}" if path else str(key)
-        if key not in schema:
-            raise ConfigError(f"unknown config key: {where}")
-        if isinstance(schema[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {where} must be an object")
-            _reject_unknown(value, schema[key], where)
+def _plain(value):
+    """JSON form of a config value: tuples and arrays become lists."""
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [_plain(item) for item in value]
+    return value
 
 
-def _vector3(value, where):
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (3,):
-        raise ConfigError(f"config key {where} must be a 3-vector")
+# Parsers: (document value, dotted key) -> attribute value, or ConfigError
+# naming the key.
+
+
+def _number(kind=float, check=None, need=""):
+    def parse(value, key):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"config key {key} must be a number")
+        if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge ints
+            raise ConfigError(f"config key {key} must be finite")
+        if kind is int and value != int(value):
+            raise ConfigError(f"config key {key} must be an integer")
+        value = kind(value)
+        if check is not None and not check(value):
+            raise ConfigError(f"config key {key} must be {need}")
+        return value
+
+    return parse
+
+
+_REAL = _number()
+_POSITIVE = _number(float, lambda x: x > 0, "positive")
+_NON_NEGATIVE = _number(float, lambda x: x >= 0, "non-negative")
+_INTEGER = _number(int)
+_COUNT = _number(int, lambda n: n > 0, "positive")
+_PROTONS = _number(int, lambda n: 1 <= n <= MAX_PROTONS, f"in 1..{MAX_PROTONS}")
+
+
+def _array(value, key, need, shape_ok):
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or not shape_ok(arr.shape):
+        raise ConfigError(f"config key {key} must be {need}")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"config key {key} must be finite")
+    return arr
+
+
+def _vector3(value, key):
+    arr = _array(value, key, "a 3-vector", lambda shape: shape == (3,))
     return tuple(float(c) for c in arr)
 
 
-def _positive(value, where, kind=float):
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key {where} must be a number") from None
-    if kind is int:
-        if number != int(number):
-            raise ConfigError(f"config key {where} must be an integer")
-        number = int(number)
-    if number <= 0:
-        raise ConfigError(f"config key {where} must be positive")
-    return number
+def _rows(value, key):
+    """Table of 3-vector rows; its row count is checked later."""
+    arr = _array(
+        value, key, "rows of 3 numbers", lambda s: len(s) == 2 and s[1] == 3
+    )
+    return tuple(map(tuple, arr))
+
+
+def _optional(parse):
+    return lambda value, key: None if value is None else parse(value, key)
+
+
+def _choice(*options):
+    def parse(value, key):
+        if value not in options:
+            raise ConfigError(f"config key {key} must be {' or '.join(options)}")
+        return value
+
+    return parse
+
+
+def _boolean(value, key):
+    if not isinstance(value, bool):
+        raise ConfigError(f"config key {key} must be true or false")
+    return value
+
+
+def _v0(value, key):
+    if isinstance(value, str):
+        if value != "matched":
+            raise ConfigError(f'config key {key} must be a 3-vector or "matched"')
+        return value
+    return _vector3(value, key)
+
+
+def _gammas(value, key):
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"config key {key} must be a non-empty list of numbers")
+    return tuple(_POSITIVE(g, key) for g in value)
+
+
+# (dotted document key, ExperimentConfig attribute, parser, help).  The
+# document, its validation, --override and the CLI help all derive from
+# this table; the dataclass fields hold the defaults.
+SCHEMA = (
+    ("p", "p", _PROTONS, f"proton count (1..{MAX_PROTONS})"),
+    ("t_final", "t_final", _POSITIVE, "pulse duration, us (default 0.5)"),
+    ("steps", "steps", _COUNT, "time intervals (default 200)"),
+    ("constants.gyro", "gyro", _POSITIVE, "gyromagnetic ratio, rad/us/mT"),
+    ("constants.k_singlet", "k_singlet", _NON_NEGATIVE,
+     "singlet recombination rate, 1/us"),
+    ("constants.k_triplet", "k_triplet", _NON_NEGATIVE,
+     "triplet recombination rate, 1/us"),
+    ("hyperfine", "hyperfine", _optional(_rows), "p rows of [Ax, Ay, Az], mT"),
+    ("prism.lower", "prism_lower", _vector3, "control box lower corner, uT"),
+    ("prism.upper", "prism_upper", _vector3, "control box upper corner, uT"),
+    ("filter.enabled", "filter_enabled", _boolean,
+     "true: first-order filter; false: v = u"),
+    ("filter.gamma", "gamma", _POSITIVE, "filter rate, 1/us"),
+    ("filter.v0", "v0", _v0, 'initial field, uT 3-vector, or "matched"'),
+    ("u0.kind", "u0_kind", _choice("constant", "grid", "explicit"),
+     "constant | grid | explicit"),
+    ("u0.vector", "u0_vector", _vector3, "constant starting control, uT"),
+    ("u0.values", "u0_values", _optional(_rows),
+     "explicit steps x 3 control table, uT"),
+    ("u0.grid.vertex", "grid_vertex", _vector3, "grid anchor vertex, uT"),
+    ("u0.grid.spacing", "grid_spacing", _POSITIVE,
+     "grid spacing, uT (default 0.5)"),
+    ("optimizer.method", "method", _choice("gpm", "ipmp"),
+     "gpm | ipmp  (shorthand: optimizer=ipmp)"),
+    ("optimizer.gpm.eps_cost", "gpm.eps_cost", _REAL, "relative cost tolerance"),
+    ("optimizer.gpm.eps_ctrl", "gpm.eps_ctrl", _REAL,
+     "relative control-change tolerance"),
+    ("optimizer.gpm.max_iters", "gpm.max_iters", _INTEGER, "iteration cap"),
+    ("optimizer.gpm.lambda0", "gpm.lambda0", _optional(_REAL),
+     "first step size (default: auto)"),
+    ("optimizer.gpm.step_scale", "gpm.step_scale", _REAL,
+     "multiplier on the Barzilai-Borwein step"),
+    ("optimizer.ipmp.max_iters", "ipmp.max_iters", _INTEGER, "iteration cap"),
+    ("optimizer.ipmp.cycle_window", "ipmp.cycle_window", _INTEGER,
+     "cycle-detection history length"),
+    ("sweep.gammas", "gammas", _gammas,
+     "gamma values for sweep-gamma/yield-loss, 1/us"),
+    ("sweep.p_max", "p_max", _PROTONS, "largest proton count in yield-loss"),
+)
+_ROWS = {tuple(row[0].split(".")): row for row in SCHEMA}
+_SECTIONS = {path[:i] for path in _ROWS for i in range(1, len(path))}
+
+
+def _leaves(data, path=()):
+    """(schema row, value) for every leaf of a document; rejects unknown keys."""
+    for key, value in data.items():
+        where = (*path, key)
+        name = ".".join(map(str, where))
+        if where in _SECTIONS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {name} must be an object")
+            yield from _leaves(value, where)
+        elif where in _ROWS:
+            yield _ROWS[where], value
+        else:
+            raise ConfigError(f"unknown config key: {name}")
+
+
+def ensemble_bytes(p, steps):
+    """Bytes of the forward and adjoint ensembles one run stores: two
+    arrays of (steps+1) nodes x 2^(p+2) components x 3*2^p states."""
+    return 2 * (steps + 1) * 2 ** (p + 2) * 3 * 2**p * 16
 
 
 def config_from_dict(data):
@@ -271,157 +364,36 @@ def config_from_dict(data):
     """
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
-    template = ExperimentConfig().to_dict()
-    _reject_unknown(data, template)
+    values = {}
+    settings = {"gpm": {}, "ipmp": {}}
+    for (key, attr, parse, _), value in _leaves(data):
+        owner, _, name = attr.rpartition(".")
+        (settings[owner] if owner else values)[name] = parse(value, key)
+    for owner, kind in (("gpm", GpmSettings), ("ipmp", IpmpSettings)):
+        try:
+            values[owner] = kind(**settings[owner])
+        except ValueError as exc:
+            raise ConfigError(f"config key optimizer.{owner} invalid: {exc}") from None
+    config = ExperimentConfig(**values)
 
-    def section(name):
-        part = data.get(name, {})
-        if not isinstance(part, dict):
-            raise ConfigError(f"config key {name} must be an object")
-        return part
-
-    base = ExperimentConfig()
-    p = _positive(data.get("p", base.p), "p", kind=int)
-    t_final = _positive(data.get("t_final", base.t_final), "t_final")
-    steps = _positive(data.get("steps", base.steps), "steps", kind=int)
-
-    consts = section("constants")
-    gyro = _positive(consts.get("gyro", base.gyro), "constants.gyro")
-    k_singlet = float(consts.get("k_singlet", base.k_singlet))
-    k_triplet = float(consts.get("k_triplet", base.k_triplet))
-    if k_singlet < 0:
-        raise ConfigError("config key constants.k_singlet must be non-negative")
-    if k_triplet < 0:
-        raise ConfigError("config key constants.k_triplet must be non-negative")
-
-    hyperfine = data.get("hyperfine")
-    if hyperfine is not None:
-        table = np.asarray(hyperfine, dtype=float)
-        if table.ndim != 2 or table.shape != (p, 3):
-            raise ConfigError(
-                f"config key hyperfine must be a {p}x3 array of mT rows"
-            )
-        hyperfine = tuple(map(tuple, table))
-
-    prism = section("prism")
-    lower = _vector3(prism.get("lower", base.prism_lower), "prism.lower")
-    upper = _vector3(prism.get("upper", base.prism_upper), "prism.upper")
-    if any(lo > hi for lo, hi in zip(lower, upper)):
-        raise ConfigError("config key prism.lower exceeds prism.upper")
-
-    filt = section("filter")
-    enabled = filt.get("enabled", base.filter_enabled)
-    if not isinstance(enabled, bool):
-        raise ConfigError("config key filter.enabled must be true or false")
-    gamma = _positive(filt.get("gamma", base.gamma), "filter.gamma")
-    v0 = filt.get("v0", base.v0)
-    if isinstance(v0, str):
-        if v0 != "matched":
-            raise ConfigError('config key filter.v0 must be a 3-vector or "matched"')
-    else:
-        v0 = _vector3(v0, "filter.v0")
-
-    u0 = section("u0")
-    u0_kind = u0.get("kind", base.u0_kind)
-    if u0_kind not in ("constant", "grid", "explicit"):
-        raise ConfigError("config key u0.kind must be constant, grid, or explicit")
-    u0_vector = _vector3(u0.get("vector", base.u0_vector), "u0.vector")
-    u0_values = u0.get("values", base.u0_values)
-    if u0_values is not None:
-        arr = np.asarray(u0_values, dtype=float)
-        if arr.ndim != 2 or arr.shape != (steps, 3):
-            raise ConfigError(
-                f"config key u0.values must be a {steps}x3 array"
-            )
-        u0_values = tuple(map(tuple, arr))
-    elif u0_kind == "explicit":
+    p, steps = config.p, config.steps
+    if config.hyperfine is not None and len(config.hyperfine) != p:
+        raise ConfigError(f"config key hyperfine must be a {p}x3 array of mT rows")
+    if config.u0_values is not None and len(config.u0_values) != steps:
+        raise ConfigError(f"config key u0.values must be a {steps}x3 array")
+    if config.u0_kind == "explicit" and config.u0_values is None:
         raise ConfigError("config key u0.values required when u0.kind=explicit")
-    u0_grid = u0.get("grid", {})
-    if not isinstance(u0_grid, dict):
-        raise ConfigError("config key u0.grid must be an object")
-    grid_vertex = _vector3(
-        u0_grid.get("vertex", base.grid_vertex), "u0.grid.vertex"
-    )
-    grid_spacing = _positive(
-        u0_grid.get("spacing", base.grid_spacing), "u0.grid.spacing"
-    )
-
-    opt = section("optimizer")
-    method = opt.get("method", base.method)
-    if method not in ("gpm", "ipmp"):
-        raise ConfigError("config key optimizer.method must be gpm or ipmp")
-    gpm_part = opt.get("gpm", {})
-    if not isinstance(gpm_part, dict):
-        raise ConfigError("config key optimizer.gpm must be an object")
-    lambda0 = gpm_part.get("lambda0", base.gpm.lambda0)
-    if lambda0 is not None:
-        lambda0 = _positive(lambda0, "optimizer.gpm.lambda0")
-    try:
-        gpm = GpmSettings(
-            eps_cost=float(gpm_part.get("eps_cost", base.gpm.eps_cost)),
-            eps_ctrl=float(gpm_part.get("eps_ctrl", base.gpm.eps_ctrl)),
-            max_iters=int(gpm_part.get("max_iters", base.gpm.max_iters)),
-            lambda0=lambda0,
-            step_scale=float(gpm_part.get("step_scale", base.gpm.step_scale)),
-            bb_unsquared_denominator=bool(
-                gpm_part.get("bb_unsquared_denominator", base.gpm.bb_unsquared_denominator)
-            ),
+    if any(lo > hi for lo, hi in zip(config.prism_lower, config.prism_upper)):
+        raise ConfigError("config key prism.lower exceeds prism.upper")
+    largest = max(p, config.p_max)
+    need = ensemble_bytes(largest, steps)
+    if need > MAX_ENSEMBLE_BYTES:
+        raise ConfigError(
+            f"config key steps too large: {steps} steps at p={largest} "
+            f"(the larger of p and sweep.p_max) store {need / 2**30:.3g} GiB "
+            f"of states, over the {MAX_ENSEMBLE_BYTES / 2**30:g} GiB cap"
         )
-    except ValueError as exc:
-        raise ConfigError(f"config key optimizer.gpm invalid: {exc}") from None
-    if gpm.eps_cost <= 0 or gpm.eps_ctrl <= 0:
-        raise ConfigError("config key optimizer.gpm tolerances must be positive")
-    if gpm.max_iters < 1:
-        raise ConfigError("config key optimizer.gpm.max_iters must be at least 1")
-    ipmp_part = opt.get("ipmp", {})
-    if not isinstance(ipmp_part, dict):
-        raise ConfigError("config key optimizer.ipmp must be an object")
-    ipmp = IpmpSettings(
-        max_iters=int(ipmp_part.get("max_iters", base.ipmp.max_iters)),
-        cycle_window=int(ipmp_part.get("cycle_window", base.ipmp.cycle_window)),
-    )
-    if ipmp.max_iters < 1:
-        raise ConfigError("config key optimizer.ipmp.max_iters must be at least 1")
-    if ipmp.cycle_window < 2:
-        raise ConfigError("config key optimizer.ipmp.cycle_window must be >= 2")
-
-    sweep = section("sweep")
-    gammas = sweep.get("gammas", base.gammas)
-    try:
-        gammas = tuple(float(g) for g in gammas)
-    except (TypeError, ValueError):
-        raise ConfigError("config key sweep.gammas must be a list of numbers") from None
-    if not gammas or any(g <= 0 for g in gammas):
-        raise ConfigError("config key sweep.gammas must be positive numbers")
-    p_max = _positive(sweep.get("p_max", base.p_max), "sweep.p_max", kind=int)
-
-    seed = int(data.get("seed", base.seed))
-
-    return ExperimentConfig(
-        p=p,
-        t_final=t_final,
-        steps=steps,
-        gyro=gyro,
-        k_singlet=k_singlet,
-        k_triplet=k_triplet,
-        hyperfine=hyperfine,
-        prism_lower=lower,
-        prism_upper=upper,
-        filter_enabled=enabled,
-        gamma=gamma,
-        v0=v0,
-        u0_kind=u0_kind,
-        u0_vector=u0_vector,
-        u0_values=u0_values,
-        grid_vertex=grid_vertex,
-        grid_spacing=grid_spacing,
-        method=method,
-        gpm=gpm,
-        ipmp=ipmp,
-        gammas=gammas,
-        p_max=p_max,
-        seed=seed,
-    )
+    return config
 
 
 # --------------------------------------------------------------------------
@@ -509,7 +481,7 @@ def run_single(config: ExperimentConfig, out=None, name="optimize"):
     report = run_optimizer(problem, initial_control(config, problem), config)
     run_dir = None
     if out is not None:
-        run_dir = persist_run(out, name, config, problem, report)
+        run_dir = write_run(out, name, config, run_files(problem.grid, report))
     return config, report, run_dir
 
 
@@ -542,7 +514,7 @@ class SweepRow:
         return "nofilter" if self.gamma is None else repr(self.gamma)
 
 
-def gamma_sweep(config: ExperimentConfig, gammas=None, max_workers=1):
+def gamma_sweep(config: ExperimentConfig, gammas=None):
     """Optimize at each gamma, then append the no-filter baseline row.
 
     A MaxIters run is recorded with its status, not raised.  v0="matched"
@@ -554,12 +526,12 @@ def gamma_sweep(config: ExperimentConfig, gammas=None, max_workers=1):
     if isinstance(config.v0, str):
         config, baseline_report = resolve_matched_v0(config)
 
-    def one(gamma):
-        run_cfg = replace(config, filter_enabled=True, gamma=gamma)
-        _, report, _ = run_single(run_cfg)
-        return SweepRow(gamma=gamma, cost=report.final_cost, status=report.status)
-
-    rows = _map_ordered(one, gammas, max_workers)
+    rows = []
+    for gamma in gammas:
+        _, report, _ = run_single(replace(config, filter_enabled=True, gamma=gamma))
+        rows.append(
+            SweepRow(gamma=gamma, cost=report.final_cost, status=report.status)
+        )
     if baseline_report is None:
         nofilter = replace(config, filter_enabled=False, v0=(0.0, 0.0, 0.0))
         _, baseline_report, _ = run_single(nofilter)
@@ -591,7 +563,6 @@ def yield_loss_table(
     starts=YIELD_LOSS_STARTS,
     p_values=None,
     gammas=None,
-    max_workers=1,
 ):
     """Loss of optimal yield due to filtering, per (p, u0, gamma).
 
@@ -603,35 +574,28 @@ def yield_loss_table(
     p_values = tuple(range(1, config.p_max + 1)) if p_values is None else tuple(p_values)
     gammas = tuple(config.gammas if gammas is None else gammas)
 
-    cases = []
+    rows = []
     for p in p_values:
         for start in starts:
             label = "[" + ",".join(f"{c:g}" for c in start) + "]"
-            cases.append((p, label, tuple(float(c) for c in start)))
-
-    def one(case):
-        p, label, start = case
-        base = replace(
-            config, p=p, hyperfine=None, u0_kind="constant", u0_vector=start
-        )
-        nofilter = replace(base, filter_enabled=False, v0=(0.0, 0.0, 0.0))
-        _, ref, _ = run_single(nofilter)
-        out = []
-        for gamma in gammas:
-            run_cfg = replace(base, filter_enabled=True, gamma=gamma, v0=start)
-            _, rep, _ = run_single(run_cfg)
-            out.append(
-                YieldLossRow(
-                    p=p,
-                    u0_label=label,
-                    gamma=gamma,
-                    j_filtered=rep.final_cost,
-                    j_nofilter=ref.final_cost,
-                )
+            start = tuple(float(c) for c in start)
+            base = replace(
+                config, p=p, hyperfine=None, u0_kind="constant", u0_vector=start
             )
-        return out
-
-    rows = [row for chunk in _map_ordered(one, cases, max_workers) for row in chunk]
+            nofilter = replace(base, filter_enabled=False, v0=(0.0, 0.0, 0.0))
+            _, ref, _ = run_single(nofilter)
+            for gamma in gammas:
+                run_cfg = replace(base, filter_enabled=True, gamma=gamma, v0=start)
+                _, rep, _ = run_single(run_cfg)
+                rows.append(
+                    YieldLossRow(
+                        p=p,
+                        u0_label=label,
+                        gamma=gamma,
+                        j_filtered=rep.final_cost,
+                        j_nofilter=ref.final_cost,
+                    )
+                )
     summary = {}
     for row in rows:
         key = (row.p, row.u0_label)
@@ -663,7 +627,6 @@ def uniqueness_study(
     config: ExperimentConfig,
     vertices=STUDY_VERTICES,
     spacing=0.5,
-    max_workers=1,
 ):
     """Run IPMP from every grid start around each vertex and classify.
 
@@ -679,10 +642,7 @@ def uniqueness_study(
         spec = GridSpec(vertex=vertex, spacing=spacing)
         starts.extend(grid_initializers(spec, problem.grid, problem.prism))
 
-    def one(u0):
-        return run_optimizer(problem, u0, config)
-
-    reports = _map_ordered(one, starts, max_workers)
+    reports = [run_optimizer(problem, u0, config) for u0 in starts]
 
     h = problem.grid.h
     n_family = len(reports) // len(vertices)
@@ -726,21 +686,16 @@ def uniqueness_study(
     )
 
 
-def _map_ordered(fn, items, max_workers):
-    """Map preserving input order; thread pool when max_workers > 1."""
-    if max_workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # --------------------------------------------------------------------------
 # persistence
 
 
 def canonical_json(document):
-    """Deterministic JSON text: sorted keys, no whitespace drift."""
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+    """Deterministic, standard JSON text: sorted keys, no whitespace drift,
+    no NaN or Infinity."""
+    return json.dumps(
+        document, sort_keys=True, separators=(",", ":"), allow_nan=False
+    )
 
 
 def run_id(config: ExperimentConfig, name):
@@ -766,6 +721,32 @@ def write_csv(path, header, rows):
             fh.write(",".join(_csv_cell(c) for c in row) + "\n")
 
 
+def write_run(out, name, config, files):
+    """Write config.json plus `files` to <out>/<name>/<run id>/.
+
+    `files` maps a file name to a JSON document or, for *.csv names, a
+    (header, rows) table.  Each file is written to <file>.tmp and moved
+    into place with os.replace, so a failed write leaves the files of an
+    earlier identical run as they were.  Returns the run directory.
+    """
+    run_dir = os.path.join(out, name, run_id(config, name))
+    os.makedirs(run_dir, exist_ok=True)
+    for filename, content in {"config.json": config.to_dict(), **files}.items():
+        path = os.path.join(run_dir, filename)
+        tmp = path + ".tmp"
+        try:
+            if filename.endswith(".csv"):
+                write_csv(tmp, *content)
+            else:
+                with open(tmp, "w") as fh:
+                    fh.write(canonical_json(content) + "\n")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    return run_dir
+
+
 def report_document(report: OptimizerReport):
     doc = {
         "status": report.status,
@@ -778,123 +759,22 @@ def report_document(report: OptimizerReport):
     return doc
 
 
-def persist_run(out, name, config, problem, report, extra=None):
-    """Write the standard run layout; returns the run directory."""
-    rid = run_id(config, name)
-    run_dir = os.path.join(out, name, rid)
-    os.makedirs(run_dir, exist_ok=True)
-
-    with open(os.path.join(run_dir, "config.json"), "w") as fh:
-        fh.write(canonical_json(config.to_dict()) + "\n")
-    with open(os.path.join(run_dir, "report.json"), "w") as fh:
-        fh.write(canonical_json(report_document(report)) + "\n")
-
-    write_csv(
-        os.path.join(run_dir, "cost_history.csv"),
-        ("iteration", "cost"),
-        list(enumerate(report.cost_history)),
-    )
-    grid = problem.grid
+def run_files(grid: TimeGrid, report: OptimizerReport):
+    """The files of one optimization run, in write_run form."""
     nodes = grid.nodes
-    left = nodes[:-1]
-    u = report.final_control.values
-    write_csv(
-        os.path.join(run_dir, "control.csv"),
-        ("t", "u_x", "u_y", "u_z"),
-        [(left[k], u[k, 0], u[k, 1], u[k, 2]) for k in range(grid.steps)],
-    )
-    v = report.final_field.node_values
-    write_csv(
-        os.path.join(run_dir, "field.csv"),
-        ("t", "v_x", "v_y", "v_z"),
-        [(nodes[k], v[k, 0], v[k, 1], v[k, 2]) for k in range(grid.steps + 1)],
-    )
-    phi = report.final_switching
-    if phi is None:
-        fields, forward, _ = problem.evaluate(report.final_control)
-        _, phi = problem.gradient(fields, forward)
-    write_csv(
-        os.path.join(run_dir, "switching.csv"),
-        ("t", "phi_x", "phi_y", "phi_z"),
-        [
-            (nodes[k], phi.values[k, 0], phi.values[k, 1], phi.values[k, 2])
-            for k in range(grid.steps + 1)
-        ],
-    )
-    if extra:
-        for filename, document in extra.items():
-            with open(os.path.join(run_dir, filename), "w") as fh:
-                fh.write(canonical_json(document) + "\n")
-    return run_dir
-
-
-def persist_sweep(out, config, rows):
-    """sweep.csv under its own run directory; returns the directory."""
-    rid = run_id(config, "sweep-gamma")
-    run_dir = os.path.join(out, "sweep-gamma", rid)
-    os.makedirs(run_dir, exist_ok=True)
-    with open(os.path.join(run_dir, "config.json"), "w") as fh:
-        fh.write(canonical_json(config.to_dict()) + "\n")
-    write_csv(
-        os.path.join(run_dir, "sweep.csv"),
-        ("gamma", "J", "status"),
-        [(row.label, row.cost, row.status) for row in rows],
-    )
-    return run_dir
-
-
-def persist_yield_loss(out, config, rows, summary):
-    rid = run_id(config, "yield-loss")
-    run_dir = os.path.join(out, "yield-loss", rid)
-    os.makedirs(run_dir, exist_ok=True)
-    with open(os.path.join(run_dir, "config.json"), "w") as fh:
-        fh.write(canonical_json(config.to_dict()) + "\n")
-    write_csv(
-        os.path.join(run_dir, "yield_loss.csv"),
-        ("p", "u0", "gamma", "J_filtered", "J_nofilter", "loss_percent"),
-        [
-            (
-                row.p,
-                row.u0_label,
-                row.gamma,
-                row.j_filtered,
-                row.j_nofilter,
-                row.loss_percent,
-            )
-            for row in rows
-        ],
-    )
-    summary_doc = [
-        {"p": p, "u0": label, "min_loss_percent": lo, "max_loss_percent": hi}
-        for (p, label), (lo, hi) in sorted(summary.items())
-    ]
-    with open(os.path.join(run_dir, "summary.json"), "w") as fh:
-        fh.write(canonical_json(summary_doc) + "\n")
-    return run_dir
-
-
-def persist_grid_study(out, config, study: UniquenessReport):
-    rid = run_id(config, "grid-study")
-    run_dir = os.path.join(out, "grid-study", rid)
-    os.makedirs(run_dir, exist_ok=True)
-    with open(os.path.join(run_dir, "config.json"), "w") as fh:
-        fh.write(canonical_json(config.to_dict()) + "\n")
-    document = {
-        "classification": study.classification,
-        "max_pairwise_ctrl": study.max_pairwise_ctrl,
-        "max_pairwise_cost": study.max_pairwise_cost,
-        "family_split": {
-            "rel_ctrl": study.family_split.rel_ctrl,
-            "rel_cost": study.family_split.rel_cost,
-        },
-        "statuses": list(study.statuses),
-        "costs": [float(c) for c in study.costs],
+    return {
+        "report.json": report_document(report),
+        "cost_history.csv": (("iteration", "cost"), enumerate(report.cost_history)),
+        "control.csv": (
+            ("t", "u_x", "u_y", "u_z"),
+            np.column_stack((nodes[:-1], report.final_control.values)),
+        ),
+        "field.csv": (
+            ("t", "v_x", "v_y", "v_z"),
+            np.column_stack((nodes, report.final_field.node_values)),
+        ),
+        "switching.csv": (
+            ("t", "phi_x", "phi_y", "phi_z"),
+            np.column_stack((nodes, report.final_switching.values)),
+        ),
     }
-    with open(os.path.join(run_dir, "report.json"), "w") as fh:
-        fh.write(canonical_json(document) + "\n")
-    write_csv(
-        os.path.join(run_dir, "runs.csv"),
-        ("index", "status", "J"),
-        [(k, study.statuses[k], study.costs[k]) for k in range(len(study.costs))],
-    )
-    return run_dir

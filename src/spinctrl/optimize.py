@@ -9,9 +9,7 @@ the exact adjoint gradient with a Barzilai-Borwein step
 
 projects back onto the prism after every update, and stops when the
 relative cost change and the relative control change both fall under their
-tolerances.  (A variant using the unsquared denominator ||dg|| is kept
-behind a switch for comparison; it is not a unit-consistent step and is
-off by default.)
+tolerances.
 
 The iterative maximum-principle method (IPMP) replaces the line search by
 the pointwise optimality condition: each sweep computes the switching
@@ -68,21 +66,17 @@ def project_to_prism(values, prism: Prism):
     return prism.clip(values)
 
 
-def bb_step(u_prev, u_cur, g_prev, g_cur, h, fallback, unsquared_denominator=False):
+def bb_step(u_prev, u_cur, g_prev, g_cur, h, fallback):
     """Barzilai-Borwein step from successive controls and gradients.
 
-    Falls back to `fallback` when the gradient change underflows.  The
-    unsquared_denominator variant divides by ||dg|| instead of ||dg||^2.
+    Falls back to `fallback` when the gradient change underflows.
     """
     du = np.asarray(u_cur) - np.asarray(u_prev)
     dg = np.asarray(g_cur) - np.asarray(g_prev)
     dg_norm_sq = control_inner(dg, dg, h)
     if dg_norm_sq < 1.0e-30:
         return fallback
-    numerator = abs(control_inner(du, dg, h))
-    if unsquared_denominator:
-        return numerator / np.sqrt(dg_norm_sq)
-    return numerator / dg_norm_sq
+    return abs(control_inner(du, dg, h)) / dg_norm_sq
 
 
 def synthesize_bang_bang(
@@ -146,7 +140,6 @@ class GpmSettings:
     max_iters: int = 200
     lambda0: float | None = None
     step_scale: float = 1.0
-    bb_unsquared_denominator: bool = False
 
     def __post_init__(self):
         if self.eps_cost <= 0 or self.eps_ctrl <= 0:
@@ -185,7 +178,7 @@ class OptimizerReport:
     final_control: ControlSignal
     final_field: FieldTrajectory
     final_cost: float
-    final_switching: SwitchingSignal | None = None
+    final_switching: SwitchingSignal
     cycle_members: tuple | None = None
 
 
@@ -262,7 +255,6 @@ def gpm_optimize(
                 grad,
                 h,
                 fallback=lambda_first,
-                unsquared_denominator=settings.bb_unsquared_denominator,
             )
         updated = project_to_prism(u.values + step * grad, problem.prism)
         u_prev, g_prev, cost_prev = u, grad, cost

@@ -288,7 +288,7 @@ def test_criterion_08_two_method_agreement():
 def test_criterion_09_gamma_asymptotics():
     with criterion(9, "gamma-asymptotics", 600.0):
         config = ExperimentConfig(v0="matched")
-        rows = gamma_sweep(config, max_workers=4)
+        rows = gamma_sweep(config)
         assert [row.gamma for row in rows[:-1]] == list(config.gammas)
         costs = [row.cost for row in rows[:-1]]
         baseline = rows[-1]
@@ -301,7 +301,7 @@ def test_criterion_09_gamma_asymptotics():
 def test_criterion_10_yield_loss_bound():
     with criterion(10, "yield-loss-bound", 1800.0):
         config = ExperimentConfig(p_max=3)
-        rows, summary = yield_loss_table(config, max_workers=4)
+        rows, summary = yield_loss_table(config)
         assert len(rows) == 3 * 3 * len(config.gammas)
         assert len(summary) == 9
         for row in rows:
@@ -320,9 +320,7 @@ def test_criterion_11_uniqueness_regularization():
         # gamma = 1: for either filter seed, every one of the 54 starts
         # lands on the same bang-bang control, exactly
         for v0 in STUDY_VERTICES:
-            unique = uniqueness_study(
-                replace(base, gamma=1.0, v0=v0), max_workers=4
-            )
+            unique = uniqueness_study(replace(base, gamma=1.0, v0=v0))
             assert unique.classification == "Unique"
             assert unique.max_pairwise_ctrl == 0.0
             assert unique.max_pairwise_cost == 0.0
@@ -333,9 +331,7 @@ def test_criterion_11_uniqueness_regularization():
 
         # no filter: the two grid families settle on two distinct optima
         # of nearly equal cost
-        nofilter = uniqueness_study(
-            replace(base, filter_enabled=False), max_workers=4
-        )
+        nofilter = uniqueness_study(replace(base, filter_enabled=False))
         assert nofilter.family_split.rel_ctrl >= 0.2
         assert nofilter.family_split.rel_cost <= 1.0e-3
 
@@ -343,7 +339,7 @@ def test_criterion_11_uniqueness_regularization():
         # oscillates on a period-2 cycle of near-equal costs
         for v0 in STUDY_VERTICES:
             run_cfg = replace(base, gamma=10.0, v0=v0)
-            oscillating = uniqueness_study(run_cfg, max_workers=4)
+            oscillating = uniqueness_study(run_cfg)
             assert oscillating.classification == "Oscillating"
             problem = build_problem(run_cfg)
             for report in oscillating.reports:

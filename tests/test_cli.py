@@ -3,10 +3,10 @@ import os
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from spinctrl.cli import apply_override, build_parser, load_config, main
-from spinctrl.experiments import ConfigError, ExperimentConfig
+from spinctrl.experiments import ConfigError, ExperimentConfig, simulate
 
 
 def _leaf_paths(document, prefix=""):
@@ -131,6 +131,32 @@ class TestValidate:
         assert main(["validate", "--override", "filtre.gamma=2"]) == 1
         assert "filtre" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "filter.gamma=NaN",
+            "t_final=Infinity",
+            "prism.upper=[6,6,NaN]",
+            "constants.k_singlet=NaN",
+            "u0.vector=[NaN,3,3]",
+            "optimizer.gpm.step_scale=NaN",
+            "optimizer.ipmp.max_iters=2.7",
+        ],
+    )
+    def test_non_finite_or_fractional_value_exits_1(self, override, capsys):
+        assert main(["validate", "--override", override]) == 1
+        assert override.partition("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["p=9", "sweep.p_max=12", "steps=1e9"])
+    def test_oversized_problem_exits_1(self, override, capsys):
+        # rejected while the config is read, before any array is built
+        assert main(["validate", "--override", override]) == 1
+        assert override.partition("=")[0] in capsys.readouterr().err
+
+    def test_largest_proton_count_fits_default_grid(self, capsys):
+        assert main(["validate", "--override", "p=7"]) == 0
+        assert json.loads(capsys.readouterr().out)["p"] == 7
+
     def test_missing_file_exits_1(self, capsys):
         assert main(["validate", "--config", "/no/such/file.json"]) == 1
         assert "config error" in capsys.readouterr().err
@@ -229,6 +255,16 @@ class TestSimulateCommand:
         )
         # 11 nodes x 6 triplet-born states x 8 components
         assert table.shape == (11 * 6 * 8, 5)
+        # rows in (node, state, component) order, values exactly as simulated
+        _, problem, _, forward, _ = simulate(load_config(path))
+        nodes, states = problem.grid.nodes, forward.states
+        expected = [
+            (nodes[k], l, c, states[k, c, l].real, states[k, c, l].imag)
+            for k in range(states.shape[0])
+            for l in range(states.shape[2])
+            for c in range(states.shape[1])
+        ]
+        assert_array_equal(table, np.array(expected))
 
 
 class TestSweepCommand:

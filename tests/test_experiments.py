@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from spinctrl import experiments
 from spinctrl.dynamics import ControlSignal, Prism, TimeGrid, constant_control
 from spinctrl.experiments import (
     ConfigError,
@@ -14,18 +15,19 @@ from spinctrl.experiments import (
     SweepRow,
     YieldLossRow,
     build_problem,
+    canonical_json,
     compare_controls,
     config_from_dict,
     gamma_sweep,
     grid_initializers,
     grid_points,
     initial_control,
-    persist_sweep,
     resolve_matched_v0,
     run_id,
     run_single,
     simulate,
     uniqueness_study,
+    write_run,
     yield_loss_table,
 )
 
@@ -132,7 +134,6 @@ class TestConfigDocument:
             v0="matched",
             prism_lower=(3.0, 3.0, -1.0),
             prism_upper=(6.0, 6.0, 2.0),
-            seed=99,
         )
         doc = base.to_dict()
         again = config_from_dict(doc)
@@ -215,11 +216,18 @@ class TestConfigDocument:
 
 def test_run_id_depends_on_config_and_name():
     a = ExperimentConfig()
-    b = ExperimentConfig(seed=7)
+    b = ExperimentConfig(k_triplet=7.0)
     assert run_id(a, "optimize") == run_id(a, "optimize")
     assert run_id(a, "optimize") != run_id(b, "optimize")
     assert run_id(a, "optimize") != run_id(a, "sweep-gamma")
     assert len(run_id(a, "optimize")) == 12
+
+
+def test_canonical_json_is_standard_json():
+    assert canonical_json({"b": [1.5], "a": None}) == '{"a":null,"b":[1.5]}'
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            canonical_json({"gamma": bad})
 
 
 def test_build_problem_requires_numeric_v0():
@@ -267,6 +275,29 @@ class TestRunSingle:
             with open(os.path.join(d2, name), "rb") as fh:
                 second = fh.read()
             assert first == second, name
+
+    def test_failed_rewrite_keeps_earlier_run(self, tmp_path, monkeypatch):
+        _, _, run_dir = run_single(FAST, out=str(tmp_path))
+
+        def files():
+            return {
+                name: open(os.path.join(run_dir, name), "rb").read()
+                for name in os.listdir(run_dir)
+            }
+
+        before = files()
+
+        def failing_write_csv(path, header, rows):
+            with open(path, "w") as fh:
+                fh.write("partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(experiments, "write_csv", failing_write_csv)
+        with pytest.raises(OSError, match="disk full"):
+            run_single(FAST, out=str(tmp_path))
+        after = files()
+        assert not [name for name in after if name.endswith(".tmp")]
+        assert after == before
 
     def test_control_csv_contents(self, tmp_path):
         cfg, report, run_dir = run_single(FAST, out=str(tmp_path))
@@ -328,18 +359,18 @@ class TestSweeps:
         )
         assert baseline.cost == ref.final_cost
 
-    def test_parallel_sweep_matches_sequential(self):
-        sequential = gamma_sweep(FAST, gammas=(1.0, 5.0))
-        parallel = gamma_sweep(FAST, gammas=(1.0, 5.0), max_workers=2)
-        assert [r.gamma for r in parallel] == [1.0, 5.0, None]
-        assert [r.cost for r in parallel] == [r.cost for r in sequential]
-
     def test_persist_sweep_layout(self, tmp_path):
         rows = [
             SweepRow(gamma=1.0, cost=0.25, status="Converged"),
             SweepRow(gamma=None, cost=0.26, status="Converged"),
         ]
-        run_dir = persist_sweep(str(tmp_path), FAST, rows)
+        table = [(row.label, row.cost, row.status) for row in rows]
+        run_dir = write_run(
+            str(tmp_path),
+            "sweep-gamma",
+            FAST,
+            {"sweep.csv": (("gamma", "J", "status"), table)},
+        )
         lines = open(os.path.join(run_dir, "sweep.csv")).read().splitlines()
         assert lines[0] == "gamma,J,status"
         assert lines[1] == "1.0,0.25,Converged"
@@ -384,7 +415,7 @@ def test_uniqueness_study_structure():
         prism_lower=(3.0, 3.0, -1.0),
         prism_upper=(6.0, 6.0, 2.0),
     )
-    study = uniqueness_study(cfg, max_workers=4)
+    study = uniqueness_study(cfg)
     assert len(study.statuses) == 54
     assert len(study.costs) == 54
     assert len(study.controls) == 54

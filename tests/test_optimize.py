@@ -21,7 +21,6 @@ from spinctrl.optimize import (
     GpmSettings,
     IpmpSettings,
     bb_step,
-    control_inner,
     control_norm,
     gpm_optimize,
     ipmp_optimize,
@@ -115,21 +114,6 @@ class TestBbStep:
                 den += h * dg * dg
         expected = abs(num) / den
         lam = bb_step(u_prev, u_cur, g_prev, g_cur, h, fallback=1.0)
-        assert lam == pytest.approx(expected, rel=1e-12)
-
-    def test_unsquared_denominator_variant(self):
-        rng = np.random.default_rng(7)
-        h = 0.5
-        u_prev = rng.standard_normal((3, 3))
-        u_cur = rng.standard_normal((3, 3))
-        g_prev = rng.standard_normal((3, 3))
-        g_cur = rng.standard_normal((3, 3))
-        du = u_cur - u_prev
-        dg = g_cur - g_prev
-        expected = abs(control_inner(du, dg, h)) / control_norm(dg, h)
-        lam = bb_step(
-            u_prev, u_cur, g_prev, g_cur, h, 1.0, unsquared_denominator=True
-        )
         assert lam == pytest.approx(expected, rel=1e-12)
 
 
