@@ -53,10 +53,11 @@ import numpy as np
 from .model import MT_PER_UT, ModelAssembly, TripletBasis
 
 OVERFLOW_LIMIT = 1.0e6
-# Byte cap of one stacked (steps, n, n) complex generator array.  256 KiB
-# holds the whole default grid at p = 1; on the CLI benchmark, 64 KiB and
-# 512 KiB to 1 MiB blocks raised peak RSS by 5-8% over step-by-step
-# generators, 256 KiB did not.
+# Byte cap of one blocked temporary: a stacked (steps, n, n) complex
+# generator array here, the per-node products of objective's contractions
+# there.  256 KiB holds the whole default grid at p = 1; on the CLI
+# benchmark, 64 KiB and 512 KiB to 1 MiB blocks raised peak RSS by 5-8%
+# over step-by-step generators, 256 KiB did not.
 BLOCK_BYTES = 1 << 18
 
 
@@ -226,19 +227,23 @@ def filter_field(control: ControlSignal, cfg: FilterConfig, grid: TimeGrid):
             piecewise_constant=True,
         )
     h = grid.h
-    decay_full = np.exp(-cfg.gamma * h)
-    decay_half = np.exp(-cfg.gamma * h / 2.0)
-    nodes = np.empty((grid.steps + 1, 3))
-    mids = np.empty((grid.steps, 3))
-    v = cfg.v0.astype(float).copy()
-    nodes[0] = v
-    for k in range(grid.steps):
-        offset = v - u[k]
-        mids[k] = u[k] + offset * decay_half
-        v = u[k] + offset * decay_full
-        nodes[k + 1] = v
+    full = float(np.exp(-cfg.gamma * h))
+    half = float(np.exp(-cfg.gamma * h / 2.0))
+    # The recursion runs over Python floats, a 3-vector at a time: numpy
+    # ops on 3-vectors cost more than the arithmetic.  The operations and
+    # their order are those of v - u, u + offset * decay, bit for bit.
+    x, y, z = cfg.v0.tolist()
+    nodes = [(x, y, z)]
+    mids = []
+    for ux, uy, uz in u.tolist():
+        ox, oy, oz = x - ux, y - uy, z - uz
+        mids.append((ux + ox * half, uy + oy * half, uz + oz * half))
+        x, y, z = ux + ox * full, uy + oy * full, uz + oz * full
+        nodes.append((x, y, z))
     return FieldTrajectory(
-        node_values=nodes, midpoint_values=mids, piecewise_constant=False
+        node_values=np.array(nodes),
+        midpoint_values=np.array(mids),
+        piecewise_constant=False,
     )
 
 
@@ -259,11 +264,11 @@ def _check_amplitude(nodes, first, h, backward=False):
         )
 
 
-def _blocks(steps, dim):
-    """(start, stop) step ranges whose (stop - start, dim, dim) complex
-    generator stacks stay within BLOCK_BYTES (at least one step each)."""
-    size = max(1, BLOCK_BYTES // (16 * dim * dim))
-    return [(k, min(k + size, steps)) for k in range(0, steps, size)]
+def _blocks(rows, row_bytes):
+    """(start, stop) ranges over `rows` rows of `row_bytes` bytes each, as
+    many rows per range as stay within BLOCK_BYTES (at least one)."""
+    size = max(1, BLOCK_BYTES // row_bytes)
+    return [(k, min(k + size, rows)) for k in range(0, rows, size)]
 
 
 def _stage_generators(drift, zeeman, fields, start, stop):
@@ -308,7 +313,7 @@ def integrate_forward(
     out = np.empty((grid.steps + 1,) + psi.shape, dtype=complex)
     out[0] = psi
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, stop in _blocks(grid.steps, assembly.dim):
+        for start, stop in _blocks(grid.steps, 16 * assembly.dim**2):
             left, mid, right = _stage_generators(
                 drift, assembly.zeeman, fields, start, stop
             )
@@ -349,7 +354,7 @@ def integrate_adjoint(
     out = np.empty_like(forward.states)
     out[-1] = chi
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, stop in reversed(_blocks(grid.steps, assembly.dim)):
+        for start, stop in reversed(_blocks(grid.steps, 16 * assembly.dim**2)):
             left, mid, right = _stage_generators(
                 drift, assembly.zeeman, fields, start, stop
             )

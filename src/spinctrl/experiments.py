@@ -353,7 +353,9 @@ def _leaves(data, path=()):
 
 def ensemble_bytes(p, steps):
     """Bytes of the forward and adjoint ensembles one run stores: two
-    arrays of (steps+1) nodes x 2^(p+2) components x 3*2^p states."""
+    arrays of (steps+1) nodes x 2^(p+2) components x 3*2^p states.  The
+    contractions over them run in bounded blocks, so this is the run's
+    peak, give or take one block."""
     return 2 * (steps + 1) * 2 ** (p + 2) * 3 * 2**p * 16
 
 
@@ -401,12 +403,17 @@ def config_from_dict(data):
 
 
 def build_problem(config: ExperimentConfig):
-    """ControlProblem for a resolved (numeric-v0) config."""
+    """ControlProblem for a resolved (numeric-v0) config.
+
+    The config passes the same checks as a config document first, so one
+    built in Python is rejected with the same ConfigError as on the CLI.
+    """
     if isinstance(config.v0, str):
         raise ConfigError(
             'filter.v0 "matched" must be resolved before building; '
             "see resolve_matched_v0"
         )
+    config_from_dict(config.to_dict())
     constants = PhysicalConstants(
         gyro=config.gyro,
         k_singlet=config.k_singlet,

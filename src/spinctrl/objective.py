@@ -23,6 +23,19 @@ closed form: O(steps) total and exact for linear m.  In no-filter mode
 phi = m.  phi doubles as the switching function of the maximum principle:
 at an optimum, u_i sits on the upper bound where phi_i > 0 and on the
 lower bound where phi_i < 0.
+
+Both contractions run as BLAS matmuls over blocks of nodes: P_S @ psi for
+the populations, and one (3n, n) @ psi with the three Zeeman generators
+stacked for m, each followed by a per-node einsum against conj(psi) or
+conj(chi).  A block holds as many nodes as keep its largest temporary (the
+P_S psi, or the three Z_i psi, of its nodes) within dynamics.BLOCK_BYTES,
+at least one node, the cap the integrators use for their generator stacks.
+The transients of one call therefore stay within about two blocks (or the
+products of one node, where those alone pass the cap) instead of one or two
+whole ensembles; every row of a block is computed alone, so the results do
+not depend on the block size.  The scalar recursion of phi runs over Python
+floats, which on 3-vectors is cheaper than numpy, in the same order of
+operations.
 """
 
 from __future__ import annotations
@@ -36,6 +49,7 @@ from .dynamics import (
     FilterConfig,
     StateEnsemble,
     TimeGrid,
+    _blocks,
 )
 from .model import MT_PER_UT, ModelAssembly
 
@@ -51,8 +65,12 @@ def trapezoid_weights(n_nodes, h):
 def singlet_populations(forward: StateEnsemble, assembly: ModelAssembly):
     """sum_l <psi^l(t_k) | P_S | psi^l(t_k)> at every node."""
     p_s = assembly.projector_singlet
-    proj = np.einsum("ab,tbl->tal", p_s, forward.states)
-    return np.einsum("tal,tal->t", forward.states.conj(), proj).real
+    states = forward.states
+    out = np.empty(states.shape[0])
+    for start, stop in _blocks(states.shape[0], states[0].nbytes):
+        psi = states[start:stop]
+        out[start:stop] = np.einsum("tal,tal->t", psi.conj(), p_s @ psi).real
+    return out
 
 
 def singlet_yield(
@@ -98,12 +116,15 @@ def gradient_integrand(
 ):
     """m_i(t_k): the unconvolved gradient density, shape (steps+1, 3)."""
     scale = MT_PER_UT / (3.0 * 2 ** (assembly.p - 1))
-    out = np.empty((forward.states.shape[0], 3))
-    for i in range(3):
-        zpsi = np.einsum("ab,tbl->tal", assembly.zeeman[i], forward.states)
-        out[:, i] = scale * np.einsum(
-            "tal,tal->t", adjoint.states.conj(), zpsi
-        ).imag
+    states, costates = forward.states, adjoint.states
+    nodes, dim, count = states.shape
+    zeeman = assembly.zeeman.reshape(3 * dim, dim)  # rows of Z_x, Z_y, Z_z
+    out = np.empty((nodes, 3))
+    for start, stop in _blocks(nodes, 3 * states[0].nbytes):
+        zpsi = (zeeman @ states[start:stop]).reshape(-1, 3, dim, count)
+        chi = costates[start:stop].conj()
+        out[start:stop] = np.einsum("tal,tial->ti", chi, zpsi).imag
+    out *= scale
     return out
 
 
@@ -119,11 +140,21 @@ def switching_function(
     if not cfg.enabled:
         return SwitchingSignal(values=m, filtered=False)
     a, b = _kernel_coefficients(cfg.gamma * grid.h)
-    decay = np.exp(-cfg.gamma * grid.h)
-    w = np.zeros_like(m)
-    for k in range(grid.steps - 1, -1, -1):
-        w[k] = decay * w[k + 1] + a * m[k] + b * m[k + 1]
-    return SwitchingSignal(values=w, filtered=True)
+    a, b = float(a), float(b)
+    decay = float(np.exp(-cfg.gamma * grid.h))
+    # w[k] = decay * w[k + 1] + a * m[k] + b * m[k + 1], over Python floats
+    # (cheaper than numpy ops on 3-vectors) in the same order, bit for bit.
+    rows = m.tolist()
+    wx = wy = wz = 0.0
+    w = [(wx, wy, wz)]
+    rx, ry, rz = rows[-1]
+    for lx, ly, lz in reversed(rows[:-1]):
+        wx = decay * wx + a * lx + b * rx
+        wy = decay * wy + a * ly + b * ry
+        wz = decay * wz + a * lz + b * rz
+        w.append((wx, wy, wz))
+        rx, ry, rz = lx, ly, lz
+    return SwitchingSignal(values=np.array(w[::-1]), filtered=True)
 
 
 def node_sampled_control(control: ControlSignal):

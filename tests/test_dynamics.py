@@ -171,6 +171,27 @@ class TestFilterField:
         assert r1 <= gamma ** 3 * h1 ** 2 / 24.0 * offset_cap * 1.1
         assert r1 / r2 == pytest.approx(4.0, rel=0.3)
 
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 10.0, 1.0e-9])
+    def test_matches_vector_recursion(self, gamma):
+        """The Python-float recursion equals the numpy 3-vector loop bit
+        for bit."""
+        grid = make_grid(60)
+        rng = np.random.default_rng(6)
+        u = ControlSignal(values=rng.uniform(3.0, 6.0, (60, 3)), bounds=PRISM)
+        cfg = FilterConfig(gamma=gamma, v0=np.array([3.5, 4.25, 5.75]))
+        decay_full = np.exp(-gamma * grid.h)
+        decay_half = np.exp(-gamma * grid.h / 2.0)
+        nodes = np.empty((61, 3))
+        mids = np.empty((60, 3))
+        v = nodes[0] = cfg.v0
+        for k in range(60):
+            offset = v - u.values[k]
+            mids[k] = u.values[k] + offset * decay_half
+            v = nodes[k + 1] = u.values[k] + offset * decay_full
+        fields = filter_field(u, cfg, grid)
+        assert np.array_equal(fields.node_values, nodes)
+        assert np.array_equal(fields.midpoint_values, mids)
+
     def test_grid_mismatch_rejected(self):
         grid = make_grid(10)
         u = constant_control([4.0, 4.0, 4.0], make_grid(20), PRISM)
@@ -426,8 +447,8 @@ class TestBlocking:
 
     def test_blocks_cover_grid_within_byte_cap(self, monkeypatch):
         monkeypatch.setattr(dynamics, "BLOCK_BYTES", 3 * 16 * 8 * 8)
-        blocks = dynamics._blocks(50, 8)
+        blocks = dynamics._blocks(50, 16 * 8 * 8)
         assert blocks[0] == (0, 3) and blocks[-1] == (48, 50)
         assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
         monkeypatch.setattr(dynamics, "BLOCK_BYTES", 1)
-        assert dynamics._blocks(4, 8) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert dynamics._blocks(4, 16 * 8 * 8) == [(0, 1), (1, 2), (2, 3), (3, 4)]

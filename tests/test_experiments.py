@@ -235,6 +235,22 @@ def test_build_problem_requires_numeric_v0():
         build_problem(ExperimentConfig(v0="matched"))
 
 
+def test_config_built_in_python_is_validated():
+    """A NaN gamma is a config error, not an integration overflow."""
+    with pytest.raises(ConfigError, match="filter.gamma"):
+        run_single(ExperimentConfig(steps=20, gamma=float("nan")))
+
+
+@pytest.mark.parametrize(
+    "kwargs, key",
+    [({"p": 9}, "p"), ({"p": 7, "steps": 400}, "steps")],
+    ids=["p9", "p7-400-steps"],
+)
+def test_oversized_config_rejected_before_building(kwargs, key):
+    with pytest.raises(ConfigError, match=f"config key {key} "):
+        build_problem(ExperimentConfig(**kwargs))
+
+
 def test_initial_control_rejects_grid_kind():
     cfg = ExperimentConfig(u0_kind="grid")
     problem = build_problem(cfg)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from spinctrl import dynamics, objective
 from spinctrl.dynamics import (
     ControlSignal,
     FilterConfig,
@@ -14,7 +17,7 @@ from spinctrl.dynamics import (
     integrate_adjoint,
     integrate_forward,
 )
-from spinctrl.model import build_model, triplet_states
+from spinctrl.model import MT_PER_UT, build_model, triplet_states
 from spinctrl.objective import (
     SwitchingSignal,
     gradient_integrand,
@@ -22,6 +25,7 @@ from spinctrl.objective import (
     hp_integral,
     node_sampled_control,
     pmp_residual,
+    singlet_populations,
     singlet_yield,
     switching_function,
     trapezoid_weights,
@@ -144,6 +148,22 @@ class TestSwitchingFunction:
         assert phi.filtered
         assert np.max(np.abs(phi.values[-1])) == 0.0
 
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 10.0, 1.0e-9])
+    def test_recursion_matches_vector_loop(self, monkeypatch, gamma):
+        """The Python-float backward recursion equals the numpy 3-vector
+        loop bit for bit."""
+        rng = np.random.default_rng(9)
+        m = rng.standard_normal((31, 3)) * 10.0 ** rng.integers(-6, 3, (31, 3))
+        monkeypatch.setattr(objective, "gradient_integrand", lambda *args: m)
+        grid = TimeGrid(t_final=0.5, steps=30)
+        a, b = objective._kernel_coefficients(gamma * grid.h)
+        decay = np.exp(-gamma * grid.h)
+        w = np.zeros_like(m)
+        for k in range(29, -1, -1):
+            w[k] = decay * w[k + 1] + a * m[k] + b * m[k + 1]
+        phi = switching_function(None, None, None, FilterConfig(gamma=gamma), grid)
+        assert np.array_equal(phi.values, w)
+
     def test_no_filter_returns_integrand(self):
         problem = make_problem(steps=50, enabled=False)
         u = constant_control([5.0, 4.0, 3.0], problem.grid, PRISM)
@@ -180,6 +200,73 @@ class TestSwitchingFunction:
                     limit=200,
                 )
                 assert abs(gamma * tail - phi.values[k, i]) <= 1.0e-10
+
+
+def solved_states(p, steps=40, enabled=True):
+    """Forward and adjoint ensembles of a random feasible control."""
+    problem = make_problem(p=p, steps=steps, gamma=4.0, enabled=enabled)
+    rng = np.random.default_rng(p)
+    u = ControlSignal(values=rng.uniform(3.0, 6.0, (steps, 3)), bounds=PRISM)
+    fields, forward, _ = problem.evaluate(u)
+    adjoint, _ = problem.gradient(fields, forward)
+    return problem.assembly, forward, adjoint
+
+
+class TestBlockedContractions:
+    """Populations and m are matmuls over blocks of nodes; they must agree
+    with the whole-trajectory einsum and not depend on the block size."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_match_einsum_reference(self, p, enabled):
+        model, forward, adjoint = solved_states(p, enabled=enabled)
+        psi, chi = forward.states, adjoint.states
+        proj = np.einsum("ab,tbl->tal", model.projector_singlet, psi)
+        pops = np.einsum("tal,tal->t", psi.conj(), proj).real
+        scale = MT_PER_UT / (3.0 * 2 ** (p - 1))
+        m = np.empty((psi.shape[0], 3))
+        for i, z in enumerate(model.zeeman):
+            zpsi = np.einsum("ab,tbl->tal", z, psi)
+            m[:, i] = scale * np.einsum("tal,tal->t", chi.conj(), zpsi).imag
+        assert_allclose(singlet_populations(forward, model), pops, rtol=1e-14)
+        got = gradient_integrand(forward, adjoint, model)
+        assert np.max(np.abs(got - m)) <= 1e-14 * np.max(np.abs(m))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_independent_of_block_size(self, monkeypatch, p):
+        model, forward, adjoint = solved_states(p, steps=49)
+        node_bytes = forward.states[0].nbytes
+        results = []
+        # one node per block; 3 nodes for m (its rows are the three Z psi,
+        # 3 x node_bytes) and 9 for the populations; the whole grid
+        for block_bytes in (1, 9 * node_bytes, 1 << 40):
+            monkeypatch.setattr(dynamics, "BLOCK_BYTES", block_bytes)
+            results.append(
+                (
+                    singlet_populations(forward, model),
+                    gradient_integrand(forward, adjoint, model),
+                )
+            )
+        for pops, m in results[1:]:
+            assert np.array_equal(pops, results[0][0])
+            assert np.array_equal(m, results[0][1])
+
+    def test_gradient_memory_stays_within_blocks(self):
+        """At p = 4 on 200 steps the whole-trajectory einsum held two
+        temporaries the size of an ensemble (about 19 MB); blocked, the
+        transients stay within a few blocks."""
+        model = build_model(p=4)
+        rng = np.random.default_rng(2)
+        shape = (201, model.dim, 48)
+        forward = StateEnsemble(count=48, states=rng.standard_normal(shape) + 0j)
+        adjoint = StateEnsemble(count=48, states=1j * rng.standard_normal(shape))
+        tracemalloc.start()
+        try:
+            gradient_integrand(forward, adjoint, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * dynamics.BLOCK_BYTES
 
 
 def test_node_sampled_control_seam():
