@@ -24,7 +24,6 @@ from .experiments import (
     ConfigError,
     ControlComparison,
     ExperimentConfig,
-    GridSpec,
     SweepRow,
     UniquenessReport,
     YieldLossRow,
@@ -47,7 +46,6 @@ from .model import (
     TripletBasis,
     build_model,
     default_hyperfine,
-    load_hyperfine,
     triplet_states,
 )
 from .objective import (

@@ -1,10 +1,11 @@
 """Command-line interface: config loading, subcommands, exit codes.
 
-Exit status: 0 success; 1 configuration error; 2 numerical abort (state
-amplitudes overflowed); 3 an optimizer hit its iteration cap and --strict
-was given.  Configs are single JSON documents; --override patches dotted
-keys on top.  Results land under --out, the SPINCTRL_OUT environment
-variable, or ./results, in that order.
+Exit status: 0 success; 1 configuration or usage error; 2 numerical abort
+(state amplitudes overflowed); 3 an optimizer hit its iteration cap and
+--strict was given (optimize, sweep-gamma, yield-loss, grid-study).
+Configs are single JSON documents; --override patches dotted keys on top.
+Results land under --out, the SPINCTRL_OUT environment variable, or
+./results, in that order.
 """
 
 from __future__ import annotations
@@ -98,6 +99,30 @@ def _configure_logging(verbosity):
     logging.basicConfig(stream=sys.stderr, level=level, format="%(message)s")
 
 
+# argparse options of each subcommand flag, keyed by the flag.
+FLAGS = {
+    "--config": dict(help="JSON config file (omit for defaults)"),
+    "--override": dict(
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="dotted-key config patch, repeatable",
+    ),
+    "--out": dict(help="results directory (fallback: $SPINCTRL_OUT, ./results)"),
+    "--strict": dict(
+        action="store_true",
+        help="exit 3 when an optimizer stops at its iteration cap",
+    ),
+    "--dump-states": dict(
+        action="store_true",
+        help="also write the full state trajectory (states.csv, large)",
+    ),
+    "run_a": dict(help="first run directory (reference)"),
+    "run_b": dict(help="second run directory"),
+}
+RUN_FLAGS = ("--config", "--override", "--out", "--strict")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spinctrl",
@@ -113,68 +138,12 @@ def build_parser():
         help="per-iteration logs on stderr (-vv for debug)",
     )
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
-
-    def common(p, needs_out=True):
-        p.add_argument("--config", help="JSON config file (omit for defaults)")
-        p.add_argument(
-            "--override",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="dotted-key config patch, repeatable",
-        )
-        if needs_out:
-            p.add_argument(
-                "--out", help="results directory (fallback: $SPINCTRL_OUT, ./results)"
-            )
-        p.add_argument(
-            "--strict",
-            action="store_true",
-            help="exit 3 when an optimizer stops at its iteration cap",
-        )
-
-    p_sim = sub.add_parser(
-        "simulate", help="propagate the starting control, no optimization"
-    )
-    common(p_sim)
-    p_sim.add_argument(
-        "--dump-states",
-        action="store_true",
-        help="also write the full state trajectory (states.csv, large)",
-    )
-
-    p_opt = sub.add_parser("optimize", help="run the configured optimizer once")
-    common(p_opt)
-
-    p_sweep = sub.add_parser(
-        "sweep-gamma", help="optimize across filter rates plus no-filter baseline"
-    )
-    common(p_sweep)
-
-    p_yield = sub.add_parser(
-        "yield-loss", help="filtered-vs-no-filter yield loss table"
-    )
-    common(p_yield)
-
-    p_grid = sub.add_parser(
-        "grid-study", help="multi-start uniqueness study (54 grid starts)"
-    )
-    common(p_grid)
-
-    p_cmp = sub.add_parser("compare", help="compare the controls of two runs")
-    p_cmp.add_argument("run_a", help="first run directory (reference)")
-    p_cmp.add_argument("run_b", help="second run directory")
-
-    p_val = sub.add_parser(
-        "validate", help="validate a config and echo its resolved form"
-    )
-    common(p_val, needs_out=False)
-
+    for name, handler, text, flags in COMMANDS:
+        command = sub.add_parser(name, help=text)
+        command.set_defaults(handler=handler)
+        for flag in flags:
+            command.add_argument(flag, **FLAGS[flag])
     return parser
-
-
-def _echo_config(config):
-    print(canonical_json(config.to_dict()))
 
 
 def cmd_simulate(args):
@@ -254,6 +223,8 @@ def cmd_yield_loss(args):
     for (p, label), (lo, hi) in sorted(summary.items()):
         print(f"p={p} u0={label}: loss% in [{lo:.4f}, {hi:.4f}]")
     print(f"yield-loss: run={run_dir}")
+    if args.strict and any(row.capped for row in rows):
+        return 3
     return 0
 
 
@@ -327,30 +298,39 @@ def cmd_compare(args):
 
 def cmd_validate(args):
     config = load_config(args.config, args.override)
-    _echo_config(config)
+    print(canonical_json(config.to_dict()))
     return 0
 
 
-HANDLERS = {
-    "simulate": cmd_simulate,
-    "optimize": cmd_optimize,
-    "sweep-gamma": cmd_sweep_gamma,
-    "yield-loss": cmd_yield_loss,
-    "grid-study": cmd_grid_study,
-    "compare": cmd_compare,
-    "validate": cmd_validate,
-}
+# (name, handler, help, flags): the one list of subcommands.
+COMMANDS = (
+    ("simulate", cmd_simulate, "propagate the starting control, no optimization",
+     ("--config", "--override", "--out", "--dump-states")),
+    ("optimize", cmd_optimize, "run the configured optimizer once", RUN_FLAGS),
+    ("sweep-gamma", cmd_sweep_gamma,
+     "optimize across filter rates plus no-filter baseline", RUN_FLAGS),
+    ("yield-loss", cmd_yield_loss, "filtered-vs-no-filter yield loss table",
+     RUN_FLAGS),
+    ("grid-study", cmd_grid_study, "multi-start uniqueness study (54 grid starts)",
+     RUN_FLAGS),
+    ("compare", cmd_compare, "compare the controls of two runs", ("run_a", "run_b")),
+    ("validate", cmd_validate, "validate a config and echo its resolved form",
+     ("--config", "--override")),
+)
 
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help
+        return 1 if exc.code else 0
     if args.command is None:
         parser.print_help()
         return 1
     _configure_logging(args.verbose)
     try:
-        return HANDLERS[args.command](args)
+        return args.handler(args)
     except IntegrationOverflow as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 2

@@ -195,17 +195,6 @@ class FieldTrajectory:
     def steps(self):
         return self.midpoint_values.shape[0]
 
-    def stage_values(self):
-        """Per-interval (left, mid, right) field samples for RK4 stages."""
-        if self.piecewise_constant:
-            mid = self.midpoint_values
-            return mid, mid, mid
-        return (
-            self.node_values[:-1],
-            self.midpoint_values,
-            self.node_values[1:],
-        )
-
 
 def filter_field(control: ControlSignal, cfg: FilterConfig, grid: TimeGrid):
     """Exact filter response of a piecewise-constant control.

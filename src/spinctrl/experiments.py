@@ -55,6 +55,7 @@ from .model import (
 )
 from .objective import singlet_yield
 from .optimize import (
+    STATUS_MAX_ITERS,
     STATUS_OSCILLATING,
     ControlProblem,
     GpmSettings,
@@ -80,26 +81,16 @@ class ConfigError(ValueError):
     """Rejected configuration; the message names the offending key."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """27 constant starting controls: vertex + spacing*[1-i, 1-j, 1-k]."""
-
-    vertex: tuple
-    spacing: float = 0.5
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "vertex", tuple(float(c) for c in np.reshape(self.vertex, 3))
-        )
-        if self.spacing <= 0:
-            raise ConfigError("grid spacing must be positive")
+GRID_SPACING = 0.5  # uT, between neighbouring starts of the uniqueness study
 
 
-def grid_points(spec: GridSpec):
-    """The raw 27 grid vectors, unclipped, index order (i, j, k)."""
-    offsets = spec.spacing * (1.0 - np.arange(3.0))
+def grid_points(vertex):
+    """The 27 raw grid vectors vertex + GRID_SPACING * [1-i, 1-j, 1-k],
+    unclipped, index order (i, j, k)."""
+    offsets = GRID_SPACING * (1.0 - np.arange(3.0))
     pts = [
-        np.asarray(spec.vertex) + np.array([offsets[i], offsets[j], offsets[k]])
+        np.asarray(vertex, dtype=float)
+        + np.array([offsets[i], offsets[j], offsets[k]])
         for i in range(3)
         for j in range(3)
         for k in range(3)
@@ -107,7 +98,7 @@ def grid_points(spec: GridSpec):
     return np.array(pts)
 
 
-def grid_initializers(spec: GridSpec, grid: TimeGrid, prism: Prism):
+def grid_initializers(vertex, grid: TimeGrid, prism: Prism):
     """27 constant-in-time controls on `grid`, clipped into `prism`.
 
     Clipping matters: the grid around a prism vertex pokes outside the box,
@@ -115,7 +106,7 @@ def grid_initializers(spec: GridSpec, grid: TimeGrid, prism: Prism):
     """
     return [
         constant_control(prism.clip(point), grid, prism)
-        for point in grid_points(spec)
+        for point in grid_points(vertex)
     ]
 
 
@@ -169,11 +160,9 @@ class ExperimentConfig:
     filter_enabled: bool = True
     gamma: float = 1.0
     v0: tuple | str = (3.0, 3.0, 3.0)  # uT vector or "matched"
-    u0_kind: str = "constant"  # constant | grid | explicit
+    u0_kind: str = "constant"  # constant | explicit
     u0_vector: tuple = (3.0, 3.0, 3.0)
     u0_values: tuple | None = None  # (steps, 3) rows, explicit kind only
-    grid_vertex: tuple = STUDY_VERTICES[0]
-    grid_spacing: float = 0.5
     method: str = "ipmp"  # gpm | ipmp
     gpm: GpmSettings = field(default_factory=GpmSettings)
     ipmp: IpmpSettings = field(default_factory=IpmpSettings)
@@ -307,22 +296,16 @@ SCHEMA = (
      "true: first-order filter; false: v = u"),
     ("filter.gamma", "gamma", _POSITIVE, "filter rate, 1/us"),
     ("filter.v0", "v0", _v0, 'initial field, uT 3-vector, or "matched"'),
-    ("u0.kind", "u0_kind", _choice("constant", "grid", "explicit"),
-     "constant | grid | explicit"),
+    ("u0.kind", "u0_kind", _choice("constant", "explicit"), "constant | explicit"),
     ("u0.vector", "u0_vector", _vector3, "constant starting control, uT"),
     ("u0.values", "u0_values", _optional(_rows),
      "explicit steps x 3 control table, uT"),
-    ("u0.grid.vertex", "grid_vertex", _vector3, "grid anchor vertex, uT"),
-    ("u0.grid.spacing", "grid_spacing", _POSITIVE,
-     "grid spacing, uT (default 0.5)"),
     ("optimizer.method", "method", _choice("gpm", "ipmp"),
      "gpm | ipmp  (shorthand: optimizer=ipmp)"),
     ("optimizer.gpm.eps_cost", "gpm.eps_cost", _REAL, "relative cost tolerance"),
     ("optimizer.gpm.eps_ctrl", "gpm.eps_ctrl", _REAL,
      "relative control-change tolerance"),
     ("optimizer.gpm.max_iters", "gpm.max_iters", _INTEGER, "iteration cap"),
-    ("optimizer.gpm.lambda0", "gpm.lambda0", _optional(_REAL),
-     "first step size (default: auto)"),
     ("optimizer.gpm.step_scale", "gpm.step_scale", _REAL,
      "multiplier on the Barzilai-Borwein step"),
     ("optimizer.ipmp.max_iters", "ipmp.max_iters", _INTEGER, "iteration cap"),
@@ -439,17 +422,12 @@ def build_problem(config: ExperimentConfig):
 
 
 def initial_control(config: ExperimentConfig, problem: ControlProblem):
-    if config.u0_kind == "constant":
-        return constant_control(config.u0_vector, problem.grid, problem.prism)
     if config.u0_kind == "explicit":
         return ControlSignal(
             values=np.asarray(config.u0_values, dtype=float),
             bounds=problem.prism,
         )
-    raise ConfigError(
-        "u0.kind=grid describes a family of starts; use grid_initializers "
-        "or the grid-study experiment"
-    )
+    return constant_control(config.u0_vector, problem.grid, problem.prism)
 
 
 def run_optimizer(problem: ControlProblem, u0: ControlSignal, config: ExperimentConfig):
@@ -559,6 +537,7 @@ class YieldLossRow:
     gamma: float
     j_filtered: float
     j_nofilter: float
+    capped: bool = False  # the filtered or the no-filter run hit MaxIters
 
     @property
     def loss_percent(self):
@@ -578,7 +557,7 @@ def yield_loss_table(
     large-gamma stand-in.  The filter starts at v0 = u0.  Returns (rows,
     summary) where summary maps (p, label) -> (min, max) loss percent.
     """
-    p_values = tuple(range(1, config.p_max + 1)) if p_values is None else tuple(p_values)
+    p_values = tuple(range(1, config.p_max + 1) if p_values is None else p_values)
     gammas = tuple(config.gammas if gammas is None else gammas)
 
     rows = []
@@ -601,6 +580,7 @@ def yield_loss_table(
                         gamma=gamma,
                         j_filtered=rep.final_cost,
                         j_nofilter=ref.final_cost,
+                        capped=STATUS_MAX_ITERS in (rep.status, ref.status),
                     )
                 )
     summary = {}
@@ -630,24 +610,20 @@ class UniquenessReport:
     reports: tuple
 
 
-def uniqueness_study(
-    config: ExperimentConfig,
-    vertices=STUDY_VERTICES,
-    spacing=0.5,
-):
+def uniqueness_study(config: ExperimentConfig, vertices=STUDY_VERTICES):
     """Run IPMP from every grid start around each vertex and classify.
 
     Every run solves the same problem, with the filter seed v0 taken from
-    the config; only the starting control varies over the 54 grid points.
-    Deciding whether the filter regularizes away the start dependence only
-    makes sense when the runs share one problem.
+    the config (v0="matched" resolved once, with IPMP); only the starting
+    control varies over the 54 grid points.  Deciding whether the filter
+    regularizes away the start dependence only makes sense when the runs
+    share one problem.
     """
-    config = replace(config, method="ipmp")
+    config = resolved_config(replace(config, method="ipmp"))
     problem = build_problem(config)
     starts = []
     for vertex in vertices:
-        spec = GridSpec(vertex=vertex, spacing=spacing)
-        starts.extend(grid_initializers(spec, problem.grid, problem.prism))
+        starts.extend(grid_initializers(vertex, problem.grid, problem.prism))
 
     reports = [run_optimizer(problem, u0, config) for u0 in starts]
 

@@ -29,7 +29,6 @@ every member an eigenvector of P_T.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,18 +74,6 @@ def default_hyperfine(p):
     """Default p-row hyperfine table in mT."""
     rows = [HYPERFINE_ROWS[j] if j < 3 else HYPERFINE_TAIL for j in range(p)]
     return np.array(rows, dtype=float)
-
-
-def load_hyperfine(path):
-    """Read a hyperfine table (array of 3-element rows, mT) from JSON."""
-    with open(path) as fh:
-        data = json.load(fh)
-    table = np.asarray(data, dtype=float)
-    if table.ndim != 2 or table.shape[1] != 3:
-        raise ValueError(
-            f"hyperfine JSON must be an array of 3-element rows, got shape {table.shape}"
-        )
-    return table
 
 
 def build_hfi(system: SpinSystem, table, gyro):
@@ -158,13 +145,10 @@ class ModelAssembly:
         return h - 1j * self.k_op
 
 
-def build_model(p=1, constants=None, hyperfine=None, max_protons=None):
+def build_model(p=1, constants=None, hyperfine=None):
     """Assemble spin operators and Hamiltonian pieces for p protons."""
     constants = constants if constants is not None else PhysicalConstants()
-    if max_protons is None:
-        system = build_spin_system(p)
-    else:
-        system = build_spin_system(p, max_protons=max_protons)
+    system = build_spin_system(p)
     table = (
         default_hyperfine(p)
         if hyperfine is None

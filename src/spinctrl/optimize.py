@@ -27,7 +27,7 @@ recent iterate window; the best-cost cycle member is reported.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,12 +111,9 @@ class ControlProblem:
     prism: Prism
     filter_cfg: FilterConfig
 
-    def field(self, control: ControlSignal):
-        return filter_field(control, self.filter_cfg, self.grid)
-
     def evaluate(self, control: ControlSignal):
         """(field, forward ensemble, cost) for one control."""
-        fields = self.field(control)
+        fields = filter_field(control, self.filter_cfg, self.grid)
         forward = integrate_forward(self.assembly, fields, self.basis, self.grid)
         cost = singlet_yield(forward, self.assembly, self.grid)
         return fields, forward, cost
@@ -132,13 +129,12 @@ class ControlProblem:
 
 @dataclass(frozen=True)
 class GpmSettings:
-    """Projected-gradient settings; lambda0=None scales the first step to
-    move the control by 10% of the narrowest prism width."""
+    """Projected-gradient settings; the first step moves the control by
+    10% of the narrowest prism width."""
 
     eps_cost: float = 1.0e-5
     eps_ctrl: float = 1.0e-5
     max_iters: int = 200
-    lambda0: float | None = None
     step_scale: float = 1.0
 
     def __post_init__(self):
@@ -148,8 +144,6 @@ class GpmSettings:
             raise ValueError("max_iters must be at least 1")
         if self.step_scale <= 0:
             raise ValueError("step_scale must be positive")
-        if self.lambda0 is not None and self.lambda0 <= 0:
-            raise ValueError("lambda0 must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -182,9 +176,7 @@ class OptimizerReport:
     cycle_members: tuple | None = None
 
 
-def _first_step_size(settings: GpmSettings, prism: Prism, gradient):
-    if settings.lambda0 is not None:
-        return settings.lambda0
+def _first_step_size(prism: Prism, gradient):
     widths = prism.width[prism.width > 0]
     peak = np.max(np.abs(gradient))
     if widths.size == 0 or peak == 0.0:
@@ -201,14 +193,15 @@ def gpm_optimize(
     tiny = 1.0e-300
     u = u0
     u_prev = g_prev = None
-    cost_prev = None
     lambda_first = None
     cost_history = []
+    status = STATUS_MAX_ITERS
     for n in range(settings.max_iters + 1):
         fields, forward, cost = problem.evaluate(u)
+        _, phi = problem.gradient(fields, forward)
         cost_history.append(cost)
         if n >= 1:
-            rel_cost = abs(cost - cost_prev) / max(abs(cost), tiny)
+            rel_cost = abs(cost - cost_history[-2]) / max(abs(cost), tiny)
             rel_ctrl = control_norm(u.values - u_prev.values, h) / max(
                 control_norm(u.values, h), tiny
             )
@@ -217,35 +210,17 @@ def gpm_optimize(
                 n, cost, rel_cost, rel_ctrl,
             )
             if rel_cost < settings.eps_cost and rel_ctrl < settings.eps_ctrl:
-                _, phi = problem.gradient(fields, forward)
-                return OptimizerReport(
-                    status=STATUS_CONVERGED,
-                    iterations=n,
-                    cost_history=np.array(cost_history),
-                    final_control=u,
-                    final_field=fields,
-                    final_cost=cost,
-                    final_switching=phi,
-                )
+                status = STATUS_CONVERGED
+                break
         else:
             logger.info("gpm iter 0 cost=%.10f", cost)
         if n == settings.max_iters:
-            _, phi = problem.gradient(fields, forward)
-            return OptimizerReport(
-                status=STATUS_MAX_ITERS,
-                iterations=n,
-                cost_history=np.array(cost_history),
-                final_control=u,
-                final_field=fields,
-                final_cost=cost,
-                final_switching=phi,
-            )
-        _, phi = problem.gradient(fields, forward)
+            break
         # left-node sampling: the ascent then shares its fixed points with
         # the bang-bang synthesis rule, which reads phi at the same nodes
         grad = phi.values[:-1]
         if n == 0:
-            lambda_first = _first_step_size(settings, problem.prism, grad)
+            lambda_first = _first_step_size(problem.prism, grad)
             step = lambda_first
         else:
             step = settings.step_scale * bb_step(
@@ -257,9 +232,17 @@ def gpm_optimize(
                 fallback=lambda_first,
             )
         updated = project_to_prism(u.values + step * grad, problem.prism)
-        u_prev, g_prev, cost_prev = u, grad, cost
+        u_prev, g_prev = u, grad
         u = ControlSignal(values=updated, bounds=problem.prism)
-    raise AssertionError("unreachable")
+    return OptimizerReport(
+        status=status,
+        iterations=n,
+        cost_history=np.array(cost_history),
+        final_control=u,
+        final_field=fields,
+        final_cost=cost,
+        final_switching=phi,
+    )
 
 
 def ipmp_optimize(
@@ -270,25 +253,35 @@ def ipmp_optimize(
     iterates = [u0]
     costs = []
     solved = []  # (fields, phi) of each evaluated iterate
-    for n in range(settings.max_iters):
+
+    def report(status, best, members=None):
+        """Report on iterate `best` from its stored solve; costs already
+        ends with J of the iterate the run stopped at."""
+        fields, phi = solved[best]
+        return OptimizerReport(
+            status=status,
+            iterations=len(costs) - 1,
+            cost_history=np.array(costs),
+            final_control=iterates[best],
+            final_field=fields,
+            final_cost=costs[best],
+            final_switching=phi,
+            cycle_members=members,
+        )
+
+    for n in range(settings.max_iters + 1):
         fields, forward, cost = problem.evaluate(iterates[n])
         costs.append(cost)
         _, phi = problem.gradient(fields, forward)
         solved.append((fields, phi))
+        if n == settings.max_iters:
+            return report(STATUS_MAX_ITERS, n)
         candidate = synthesize_bang_bang(phi, problem.prism, iterates[n])
         flips = int(np.count_nonzero(candidate.values != iterates[n].values))
         logger.info("ipmp iter %d cost=%.10f flips=%d", n + 1, cost, flips)
         if flips == 0:
             costs.append(cost)
-            return OptimizerReport(
-                status=STATUS_CONVERGED,
-                iterations=n + 1,
-                cost_history=np.array(costs),
-                final_control=iterates[n],
-                final_field=fields,
-                final_cost=cost,
-                final_switching=phi,
-            )
+            return report(STATUS_CONVERGED, n)
         cycle_start = None
         oldest = max(0, n + 1 - settings.cycle_window)
         for j in range(n - 1, oldest - 1, -1):
@@ -299,32 +292,9 @@ def ipmp_optimize(
             costs.append(costs[cycle_start])
             members = tuple(iterates[cycle_start : n + 1])
             best = cycle_start + int(np.argmax(costs[cycle_start : n + 1]))
-            final_fields, final_phi = solved[best]
             logger.info(
                 "ipmp cycle of period %d detected; keeping member with cost %.10f",
                 len(members), costs[best],
             )
-            return OptimizerReport(
-                status=STATUS_OSCILLATING,
-                iterations=n + 1,
-                cost_history=np.array(costs),
-                final_control=iterates[best],
-                final_field=final_fields,
-                final_cost=costs[best],
-                final_switching=final_phi,
-                cycle_members=members,
-            )
+            return report(STATUS_OSCILLATING, best, members)
         iterates.append(candidate)
-    final = iterates[settings.max_iters]
-    final_fields, final_forward, final_cost = problem.evaluate(final)
-    costs.append(final_cost)
-    _, final_phi = problem.gradient(final_fields, final_forward)
-    return OptimizerReport(
-        status=STATUS_MAX_ITERS,
-        iterations=settings.max_iters,
-        cost_history=np.array(costs),
-        final_control=final,
-        final_field=final_fields,
-        final_cost=final_cost,
-        final_switching=final_phi,
-    )

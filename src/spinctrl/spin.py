@@ -92,17 +92,17 @@ def build_projectors(s1, s2, dim):
     return p_s, p_t
 
 
-def build_spin_system(p, max_protons=MAX_PROTONS):
+def build_spin_system(p):
     """Assemble all spin operators for p protons.
 
     Electron 1 sits in slot 0, electron 2 in slot 1, nucleus j in slot
-    j + 1 (0-based).  Raises ValueError outside 1 <= p <= max_protons.
+    j + 1 (0-based).  Raises ValueError outside 1 <= p <= MAX_PROTONS.
     """
     if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
         raise ValueError(f"proton count must be an integer, got {p!r}")
-    if p < 1 or p > max_protons:
+    if p < 1 or p > MAX_PROTONS:
         raise ValueError(
-            f"proton count p={p} outside supported range 1..{max_protons}"
+            f"proton count p={p} outside supported range 1..{MAX_PROTONS}"
         )
     n_slots = p + 2
     dim = 2 ** n_slots

@@ -99,6 +99,14 @@ class TestHelp:
         assert main([]) == 1
         assert "subcommand" in capsys.readouterr().out
 
+    def test_usage_errors_exit_1(self, capsys):
+        assert main(["optimize", "--bogus"]) == 1
+        # --strict only where an optimizer runs
+        assert main(["validate", "--strict"]) == 1
+        assert main(["simulate", "--strict"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert main(["--help"]) == 0
+
 
 class TestValidate:
     def test_echoes_defaults_for_empty_config(self, tmp_path, capsys):
@@ -302,6 +310,18 @@ class TestYieldLossCommand:
         with open(os.path.join(run_dir, "summary.json")) as fh:
             summary = json.load(fh)
         assert len(summary) == 3  # three starting controls at p = 1
+
+    def test_strict_maxiters_exits_3(self, tmp_path):
+        args = ["yield-loss", "--out", str(tmp_path / "res")]
+        for patch in (
+            "steps=20",
+            "sweep.p_max=1",
+            "sweep.gammas=[1.0]",
+            "optimizer.ipmp.max_iters=1",
+        ):
+            args += ["--override", patch]
+        assert main(args + ["--strict"]) == 3
+        assert main(args) == 0  # without --strict the cap is only reported
 
 
 class TestCompareCommand:

@@ -17,7 +17,7 @@ from spinctrl.dynamics import (
     integrate_adjoint,
     integrate_forward,
 )
-from spinctrl.model import PhysicalConstants, build_model, triplet_states
+from spinctrl.model import MT_PER_UT, PhysicalConstants, build_model, triplet_states
 from spinctrl.objective import singlet_yield, switching_function
 
 PRISM = Prism(lower=np.array([3.0, 3.0, 3.0]), upper=np.array([6.0, 6.0, 6.0]))
@@ -26,6 +26,14 @@ WIDE = Prism(lower=np.full(3, -1.0e7), upper=np.full(3, 1.0e7))
 
 def make_grid(steps=200):
     return TimeGrid(t_final=0.5, steps=steps)
+
+
+def stage_fields(fields):
+    """(left, mid, right) field samples (mT) of every RK4 step, read back
+    from dynamics._stage_generators through unit generators Z_i = e_i^T."""
+    unit = np.eye(3).reshape(3, 1, 3)
+    stages = dynamics._stage_generators(0.0, unit, fields, 0, fields.steps)
+    return [stage[:, 0, :] for stage in stages]
 
 
 class TestTimeGrid:
@@ -130,19 +138,20 @@ class TestFilterField:
         u = ControlSignal(values=rng.uniform(3.0, 6.0, (10, 3)), bounds=PRISM)
         fields = filter_field(u, FilterConfig(enabled=False), grid)
         assert fields.piecewise_constant
-        left, mid, right = fields.stage_values()
-        assert_allclose(left, u.values, atol=0)
-        assert_allclose(mid, u.values, atol=0)
-        assert_allclose(right, u.values, atol=0)
+        left, mid, right = stage_fields(fields)
+        assert_allclose(left, u.values * MT_PER_UT, rtol=0, atol=0)
+        assert_allclose(mid, u.values * MT_PER_UT, rtol=0, atol=0)
+        assert_allclose(right, u.values * MT_PER_UT, rtol=0, atol=0)
 
     def test_filtered_stage_values_are_node_samples(self):
         grid = make_grid(10)
         u = constant_control([5.0, 5.0, 5.0], grid, PRISM)
         fields = filter_field(u, FilterConfig(gamma=1.0), grid)
-        left, mid, right = fields.stage_values()
-        assert_allclose(left, fields.node_values[:-1], atol=0)
-        assert_allclose(right, fields.node_values[1:], atol=0)
-        assert_allclose(mid, fields.midpoint_values, atol=0)
+        left, mid, right = stage_fields(fields)
+        nodes = fields.node_values * MT_PER_UT
+        assert_allclose(left, nodes[:-1], rtol=0, atol=0)
+        assert_allclose(right, nodes[1:], rtol=0, atol=0)
+        assert_allclose(mid, fields.midpoint_values * MT_PER_UT, rtol=0, atol=0)
 
     def test_consistency_with_filter_ode(self):
         """Forward differences reproduce dv/dt = gamma (u - v) to O(h^2).

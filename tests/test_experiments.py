@@ -11,7 +11,6 @@ from spinctrl.dynamics import ControlSignal, Prism, TimeGrid, constant_control
 from spinctrl.experiments import (
     ConfigError,
     ExperimentConfig,
-    GridSpec,
     SweepRow,
     YieldLossRow,
     build_problem,
@@ -41,32 +40,24 @@ FAST = ExperimentConfig(steps=50)
 
 class TestGridSpec:
     def test_point_count_and_lexicographic_order(self):
-        pts = grid_points(GridSpec(vertex=(6.0, 6.0, -1.0)))
+        pts = grid_points((6.0, 6.0, -1.0))
         assert pts.shape == (27, 3)
-        # offsets are spacing*(1-i), so index (0,0,0) sits above the vertex
+        # offsets are 0.5*(1-i), so index (0,0,0) sits above the vertex
         assert_allclose(pts[0], [6.5, 6.5, -0.5])
         assert_allclose(pts[13], [6.0, 6.0, -1.0])
         assert_allclose(pts[26], [5.5, 5.5, -1.5])
 
     def test_points_distinct(self):
-        pts = grid_points(GridSpec(vertex=(0.0, 0.0, 0.0), spacing=0.25))
+        pts = grid_points((0.0, 0.0, 0.0))
         assert len({tuple(p) for p in pts}) == 27
 
     def test_second_vertex_center(self):
-        pts = grid_points(GridSpec(vertex=(6.0, 6.0, 2.0)))
+        pts = grid_points((6.0, 6.0, 2.0))
         assert_allclose(pts[13], [6.0, 6.0, 2.0])
-
-    def test_spacing_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            GridSpec(vertex=(6.0, 6.0, -1.0), spacing=0.0)
-        with pytest.raises(ConfigError):
-            GridSpec(vertex=(6.0, 6.0, -1.0), spacing=-0.5)
 
     def test_initializers_constant_and_clipped(self):
         grid = TimeGrid(0.5, 8)
-        controls = grid_initializers(
-            GridSpec(vertex=(6.0, 6.0, -1.0)), grid, PRISM_SIGNED
-        )
+        controls = grid_initializers((6.0, 6.0, -1.0), grid, PRISM_SIGNED)
         assert len(controls) == 27
         lo = np.asarray(PRISM_SIGNED.lower)
         hi = np.asarray(PRISM_SIGNED.upper)
@@ -252,10 +243,8 @@ def test_oversized_config_rejected_before_building(kwargs, key):
 
 
 def test_initial_control_rejects_grid_kind():
-    cfg = ExperimentConfig(u0_kind="grid")
-    problem = build_problem(cfg)
-    with pytest.raises(ConfigError):
-        initial_control(cfg, problem)
+    with pytest.raises(ConfigError, match="config key u0.kind "):
+        build_problem(ExperimentConfig(u0_kind="grid"))
 
 
 class TestRunSingle:
@@ -440,3 +429,18 @@ def test_uniqueness_study_structure():
     assert study.max_pairwise_cost >= 0.0
     if study.max_pairwise_ctrl == 0.0:
         assert study.classification in ("Unique", "Oscillating")
+
+
+def test_uniqueness_study_resolves_matched_v0():
+    cfg = ExperimentConfig(
+        steps=20,
+        prism_lower=(3.0, 3.0, -1.0),
+        prism_upper=(6.0, 6.0, 2.0),
+        v0="matched",
+        u0_vector=(3.0, 3.0, 0.0),  # the start of the no-filter solve
+    )
+    study = uniqueness_study(cfg)
+    assert len(study.costs) == 54
+    # resolved once, with IPMP, and shared by every start
+    resolved, _ = resolve_matched_v0(replace(cfg, method="ipmp"))
+    assert study.costs == uniqueness_study(resolved).costs

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,7 +9,6 @@ from spinctrl.model import (
     build_model,
     build_recombination,
     default_hyperfine,
-    load_hyperfine,
     triplet_states,
 )
 from spinctrl.spin import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, build_spin_system
@@ -49,18 +46,6 @@ class TestHyperfineTable:
         assert table.shape == (5, 3)
         assert_allclose(table[3], table[4])
         assert_allclose(table[3], [-0.218, -0.202, -0.054])
-
-    def test_json_roundtrip(self, tmp_path):
-        path = tmp_path / "hfi.json"
-        rows = [[0.1, 0.2, 0.3], [-0.4, 0.5, -0.6]]
-        path.write_text(json.dumps(rows))
-        assert_allclose(load_hyperfine(path), rows)
-
-    def test_json_bad_shape(self, tmp_path):
-        path = tmp_path / "hfi.json"
-        path.write_text(json.dumps([[1.0, 2.0]]))
-        with pytest.raises(ValueError):
-            load_hyperfine(path)
 
 
 class TestBuildHfi:

@@ -59,6 +59,41 @@ def cycling_problem():
     return problem, constant_control([3.0, 3.0, 0.0], problem.grid, PRISM_MIXED)
 
 
+# Every exit of both optimizers: case -> (optimizer, settings, status).
+EXITS = {
+    "ipmp-converged": (ipmp_optimize, None, STATUS_CONVERGED),
+    "ipmp-maxiters": (ipmp_optimize, IpmpSettings(max_iters=2), STATUS_MAX_ITERS),
+    "ipmp-oscillating": (ipmp_optimize, None, STATUS_OSCILLATING),
+    "gpm-converged": (gpm_optimize, GpmSettings(step_scale=12.0), STATUS_CONVERGED),
+    "gpm-maxiters": (gpm_optimize, GpmSettings(max_iters=3), STATUS_MAX_ITERS),
+}
+
+
+def exit_run(case):
+    """(problem, u0, optimizer, settings, status) of a run that leaves
+    through the exit named by `case`."""
+    optimizer, settings, status = EXITS[case]
+    if case == "ipmp-oscillating":
+        problem, u0 = cycling_problem()
+    else:
+        problem = fig1_problem(steps=100)
+        u0 = constant_control([3.0, 3.0, 3.0], problem.grid, PRISM)
+    return problem, u0, optimizer, settings, status
+
+
+def count_solves(monkeypatch):
+    """Count the calls of ControlProblem.evaluate and .gradient."""
+    calls = {"evaluate": 0, "gradient": 0}
+    for name in calls:
+
+        def counted(self, *args, name=name, method=getattr(ControlProblem, name)):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(ControlProblem, name, counted)
+    return calls
+
+
 def test_status_strings():
     assert STATUS_CONVERGED == "Converged"
     assert STATUS_MAX_ITERS == "MaxIters"
@@ -162,8 +197,6 @@ class TestSettingsValidation:
             GpmSettings(max_iters=0)
         with pytest.raises(ValueError):
             GpmSettings(step_scale=0.0)
-        with pytest.raises(ValueError):
-            GpmSettings(lambda0=-0.5)
 
     def test_ipmp_settings(self):
         with pytest.raises(ValueError):
@@ -278,6 +311,17 @@ class TestGpm:
         assert report.final_cost >= floor - 1.0e-9
         assert report.final_cost >= best * (1.0 - 1.0e-5)
 
+    @pytest.mark.parametrize("case", ["gpm-converged", "gpm-maxiters"])
+    def test_one_evaluate_per_iteration(self, monkeypatch, case):
+        """One evaluate and one gradient per iterate u^0 .. u^n, the last
+        one included, at either exit."""
+        problem, u0, _, settings, status = exit_run(case)
+        calls = count_solves(monkeypatch)
+        report = gpm_optimize(problem, u0, settings)
+        assert report.status == status
+        solves = report.iterations + 1
+        assert calls == {"evaluate": solves, "gradient": solves}
+
 
 class TestIpmp:
     def test_fig1_scenario_converges_bang_bang(self):
@@ -325,42 +369,36 @@ class TestIpmp:
                 | (member.values == PRISM_MIXED.upper)
             )
 
-    def test_oscillating_run_reuses_member_solution(self):
-        """The reported cycle member carries the field, cost and switching
-        signal of its own solve; no solve is repeated."""
-        problem, u0 = cycling_problem()
-        report = ipmp_optimize(problem, u0)
-        assert report.status == STATUS_OSCILLATING
-        fields, forward, cost = problem.evaluate(report.final_control)
-        _, phi = problem.gradient(fields, forward)
-        assert np.array_equal(report.final_field.node_values, fields.node_values)
-        assert np.array_equal(
-            report.final_field.midpoint_values, fields.midpoint_values
-        )
-        assert report.final_cost == cost
-        assert np.array_equal(report.final_switching.values, phi.values)
-
     @pytest.mark.parametrize("mixed", [False, True])
     def test_one_evaluate_per_iteration(self, monkeypatch, mixed):
         """Converged (fig. 1) and oscillating (prism case 2, gamma 10) runs
-        evaluate each iterate exactly once."""
+        evaluate and differentiate each iterate exactly once."""
         if mixed:
             problem, u0 = cycling_problem()
         else:
             problem = fig1_problem()
             u0 = constant_control([3.0, 3.0, 3.0], problem.grid, PRISM)
-        calls = []
-        evaluate = ControlProblem.evaluate
-
-        def counted(self, control):
-            calls.append(control)
-            return evaluate(self, control)
-
-        monkeypatch.setattr(ControlProblem, "evaluate", counted)
+        calls = count_solves(monkeypatch)
         report = ipmp_optimize(problem, u0)
         expected = STATUS_OSCILLATING if mixed else STATUS_CONVERGED
         assert report.status == expected
-        assert len(calls) == report.iterations
+        assert calls == {"evaluate": report.iterations, "gradient": report.iterations}
+
+
+@pytest.mark.parametrize("case", list(EXITS))
+def test_report_matches_final_control(case):
+    """At every exit the reported field, cost and switching signal are
+    those of the reported control, bit for bit; an oscillating run reports
+    its best cycle member from that member's own solve."""
+    problem, u0, optimizer, settings, status = exit_run(case)
+    report = optimizer(problem, u0, settings)
+    assert report.status == status
+    fields, forward, cost = problem.evaluate(report.final_control)
+    _, phi = problem.gradient(fields, forward)
+    assert np.array_equal(report.final_field.node_values, fields.node_values)
+    assert np.array_equal(report.final_field.midpoint_values, fields.midpoint_values)
+    assert report.final_cost == cost
+    assert np.array_equal(report.final_switching.values, phi.values)
 
 
 @pytest.mark.parametrize("p", [1, 2])

@@ -104,10 +104,6 @@ class TestBuildSpinSystem:
         with pytest.raises(ValueError):
             build_spin_system(True)
 
-    def test_custom_proton_cap(self):
-        with pytest.raises(ValueError):
-            build_spin_system(3, max_protons=2)
-
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_su2_relations_per_slot(p):
