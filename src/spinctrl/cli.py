@@ -191,7 +191,7 @@ def cmd_sweep_gamma(args):
     run_dir = write_run(
         _out_dir(args),
         "sweep-gamma",
-        config,
+        rows.config,
         {"sweep.csv": (("gamma", "J", "status"), table)},
     )
     for row in rows:
@@ -246,7 +246,7 @@ def cmd_grid_study(args):
     run_dir = write_run(
         _out_dir(args),
         "grid-study",
-        config,
+        study.config,
         {"report.json": report, "runs.csv": (("index", "status", "J"), runs)},
     )
     print(

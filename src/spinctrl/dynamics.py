@@ -12,8 +12,8 @@ integrated exactly interval by interval: with u = u_k constant on
 
     v(t_k + s) = u_k + (v(t_k) - u_k) * exp(-gamma s).
 
-States evolve under i hbar dpsi/dt = H(v) psi and costates under
-i hbar dchi/dt = H*(v) chi - i (k_S/2) P_S psi, chi(T) = 0.  Both are
+States evolve under i dpsi/dt = H(v) psi and costates under
+i dchi/dt = H*(v) chi - i (k_S/2) P_S psi, chi(T) = 0 (hbar = 1).  Both are
 integrated with classical RK4; within a step the field enters through its
 value at the left node, the interval midpoint (used twice), and the right
 node.  In no-filter mode all three stage values equal the interval's
@@ -135,19 +135,6 @@ class ControlSignal:
         object.__setattr__(self, "values", values)
         if not self.bounds.contains(values, tol=1.0e-12):
             raise ValueError("control values leave the prism")
-
-    @property
-    def steps(self):
-        return self.values.shape[0]
-
-    def refine(self, factor):
-        """Same control on a grid with `factor` sub-intervals per interval."""
-        if factor < 1 or int(factor) != factor:
-            raise ValueError("refinement factor must be a positive integer")
-        return ControlSignal(
-            values=np.repeat(self.values, int(factor), axis=0),
-            bounds=self.bounds,
-        )
 
 
 def constant_control(vector, grid, bounds):
@@ -282,10 +269,6 @@ class StateEnsemble:
     count: int
     states: np.ndarray  # (steps + 1, dim, count) complex
 
-    @property
-    def node_count(self):
-        return self.states.shape[0]
-
 
 def integrate_forward(
     assembly: ModelAssembly,
@@ -296,7 +279,7 @@ def integrate_forward(
     """Propagate every triplet-born state through H(v(t)) with RK4."""
     h = grid.h
     half_h, sixth_h = 0.5 * h, h / 6.0
-    coef = -1.0j / assembly.constants.hbar
+    coef = -1.0j
     drift = assembly.h_hfi - 1.0j * assembly.k_op
     psi = basis.states.astype(complex).copy()
     out = np.empty((grid.steps + 1,) + psi.shape, dtype=complex)
@@ -326,7 +309,7 @@ def integrate_adjoint(
 ):
     """Integrate the costate backward from chi(T) = 0 with RK4.
 
-    The singlet source -(k_S / 2 hbar) P_S psi(t) is evaluated at stored
+    The singlet source -(k_S / 2) P_S psi(t) is evaluated at stored
     nodes and, at stage midpoints, from the average of the bracketing
     forward snapshots.
     """
@@ -334,9 +317,8 @@ def integrate_adjoint(
         raise ValueError("forward trajectory does not match the grid")
     h = grid.h
     half_h, sixth_h = 0.5 * h, h / 6.0
-    hbar = assembly.constants.hbar
-    coef = -1.0j / hbar
-    src_coef = -assembly.constants.k_singlet / (2.0 * hbar)
+    coef = -1.0j
+    src_coef = -assembly.constants.k_singlet / 2.0
     drift = assembly.h_hfi + 1.0j * assembly.k_op
     p_s = assembly.projector_singlet
     chi = np.zeros_like(forward.states[0])

@@ -302,15 +302,10 @@ SCHEMA = (
      "explicit steps x 3 control table, uT"),
     ("optimizer.method", "method", _choice("gpm", "ipmp"),
      "gpm | ipmp  (shorthand: optimizer=ipmp)"),
-    ("optimizer.gpm.eps_cost", "gpm.eps_cost", _REAL, "relative cost tolerance"),
-    ("optimizer.gpm.eps_ctrl", "gpm.eps_ctrl", _REAL,
-     "relative control-change tolerance"),
     ("optimizer.gpm.max_iters", "gpm.max_iters", _INTEGER, "iteration cap"),
     ("optimizer.gpm.step_scale", "gpm.step_scale", _REAL,
      "multiplier on the Barzilai-Borwein step"),
     ("optimizer.ipmp.max_iters", "ipmp.max_iters", _INTEGER, "iteration cap"),
-    ("optimizer.ipmp.cycle_window", "ipmp.cycle_window", _INTEGER,
-     "cycle-detection history length"),
     ("sweep.gammas", "gammas", _gammas,
      "gamma values for sweep-gamma/yield-loss, 1/us"),
     ("sweep.p_max", "p_max", _PROTONS, "largest proton count in yield-loss"),
@@ -422,12 +417,23 @@ def build_problem(config: ExperimentConfig):
 
 
 def initial_control(config: ExperimentConfig, problem: ControlProblem):
-    if config.u0_kind == "explicit":
-        return ControlSignal(
-            values=np.asarray(config.u0_values, dtype=float),
-            bounds=problem.prism,
-        )
-    return constant_control(config.u0_vector, problem.grid, problem.prism)
+    """The configured starting control.
+
+    A start outside the prism is a ConfigError naming its key.  It is
+    checked here, not in config_from_dict, because configs whose start is
+    never used (grid-study's) carry the default u0.vector on any prism.
+    """
+    explicit = config.u0_kind == "explicit"
+    try:
+        if explicit:
+            return ControlSignal(
+                values=np.asarray(config.u0_values, dtype=float),
+                bounds=problem.prism,
+            )
+        return constant_control(config.u0_vector, problem.grid, problem.prism)
+    except ValueError as exc:
+        key = "u0.values" if explicit else "u0.vector"
+        raise ConfigError(f"config key {key}: {exc}") from None
 
 
 def run_optimizer(problem: ControlProblem, u0: ControlSignal, config: ExperimentConfig):
@@ -499,20 +505,29 @@ class SweepRow:
         return "nofilter" if self.gamma is None else repr(self.gamma)
 
 
-def gamma_sweep(config: ExperimentConfig, gammas=None):
-    """Optimize at each gamma, then append the no-filter baseline row.
+class SweepRows(list):
+    """The rows of one gamma sweep; `config` is the config it ran, with
+    v0="matched" resolved."""
+
+    def __init__(self, rows, config):
+        super().__init__(rows)
+        self.config = config
+
+
+def gamma_sweep(config: ExperimentConfig):
+    """Optimize at each of sweep.gammas, then append the no-filter baseline
+    row; returns SweepRows.
 
     A MaxIters run is recorded with its status, not raised.  v0="matched"
     is resolved once and shared by every row, and the no-filter optimum it
     came from doubles as the baseline.
     """
-    gammas = tuple(config.gammas if gammas is None else gammas)
     baseline_report = None
     if isinstance(config.v0, str):
         config, baseline_report = resolve_matched_v0(config)
 
     rows = []
-    for gamma in gammas:
+    for gamma in config.gammas:
         _, report, _ = run_single(replace(config, filter_enabled=True, gamma=gamma))
         rows.append(
             SweepRow(gamma=gamma, cost=report.final_cost, status=report.status)
@@ -527,7 +542,7 @@ def gamma_sweep(config: ExperimentConfig, gammas=None):
             status=baseline_report.status,
         )
     )
-    return rows
+    return SweepRows(rows, config)
 
 
 @dataclass(frozen=True)
@@ -544,24 +559,17 @@ class YieldLossRow:
         return 100.0 * (self.j_nofilter - self.j_filtered) / self.j_nofilter
 
 
-def yield_loss_table(
-    config: ExperimentConfig,
-    starts=YIELD_LOSS_STARTS,
-    p_values=None,
-    gammas=None,
-):
-    """Loss of optimal yield due to filtering, per (p, u0, gamma).
+def yield_loss_table(config: ExperimentConfig, starts=YIELD_LOSS_STARTS):
+    """Loss of optimal yield due to filtering, per (p, u0, gamma), for p in
+    1..sweep.p_max and gamma in sweep.gammas.
 
     The no-filter reference for each (p, u0) pair is its own optimization
     run in no-filter mode (direct-control switching function), never a
     large-gamma stand-in.  The filter starts at v0 = u0.  Returns (rows,
     summary) where summary maps (p, label) -> (min, max) loss percent.
     """
-    p_values = tuple(range(1, config.p_max + 1) if p_values is None else p_values)
-    gammas = tuple(config.gammas if gammas is None else gammas)
-
     rows = []
-    for p in p_values:
+    for p in range(1, config.p_max + 1):
         for start in starts:
             label = "[" + ",".join(f"{c:g}" for c in start) + "]"
             start = tuple(float(c) for c in start)
@@ -570,7 +578,7 @@ def yield_loss_table(
             )
             nofilter = replace(base, filter_enabled=False, v0=(0.0, 0.0, 0.0))
             _, ref, _ = run_single(nofilter)
-            for gamma in gammas:
+            for gamma in config.gammas:
                 run_cfg = replace(base, filter_enabled=True, gamma=gamma, v0=start)
                 _, rep, _ = run_single(run_cfg)
                 rows.append(
@@ -598,8 +606,10 @@ class UniquenessReport:
     classification: Unique | Multiple | Oscillating.  Pairwise discrepancy
     maxima cover all run pairs; the family fields compare the first run of
     each grid family (useful when the families land on distinct optima).
+    config is the one every run solved (IPMP, v0="matched" resolved).
     """
 
+    config: ExperimentConfig
     classification: str
     statuses: tuple
     costs: tuple
@@ -658,6 +668,7 @@ def uniqueness_study(config: ExperimentConfig, vertices=STUDY_VERTICES):
     else:
         classification = "Multiple"
     return UniquenessReport(
+        config=config,
         classification=classification,
         statuses=statuses,
         costs=tuple(r.final_cost for r in reports),

@@ -1,7 +1,8 @@
 """Radical-pair model assembly: Hamiltonian pieces and triplet-born states.
 
-Solver units: hbar = 1, time in microseconds, magnetic fields in millitesla
-at the Hamiltonian level.  The electron gyromagnetic factor
+Solver units: hbar = 1 (fixed, not a parameter: H is in rad us^-1 and the
+dynamics read i dpsi/dt = H psi), time in microseconds, magnetic fields in
+millitesla at the Hamiltonian level.  The electron gyromagnetic factor
 
     GYRO = mu_B * g / hbar = 176.0859 rad us^-1 mT^-1
 
@@ -29,7 +30,7 @@ every member an eigenvector of P_T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,22 +53,19 @@ HYPERFINE_TAIL = (-0.218, -0.202, -0.054)
 class PhysicalConstants:
     """Unit-bearing scalars of the model.
 
-    gyro: rad us^-1 mT^-1; k_singlet, k_triplet: us^-1; hbar fixed to 1
-    in solver units (kept explicit so every equation states it).
+    gyro: rad us^-1 mT^-1; k_singlet, k_triplet: us^-1.  hbar = 1 is a
+    solver unit, not a field (module docstring).
     """
 
     gyro: float = GYRO_DEFAULT
     k_singlet: float = 10.0
     k_triplet: float = 10.0
-    hbar: float = 1.0
 
     def __post_init__(self):
         if self.gyro <= 0:
             raise ValueError("gyro must be positive")
         if self.k_singlet < 0 or self.k_triplet < 0:
             raise ValueError("recombination rates must be non-negative")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
 
 
 def default_hyperfine(p):
@@ -103,32 +101,25 @@ class ModelAssembly:
     """Precomputed Hamiltonian pieces for one radical-pair model.
 
     zeeman: stacked (3, n, n) generators Z_i = gyro * (S1_i + S2_i) so that
-    H_Z(v) = v . zeeman for v in mT.  h_hfi and k_op as in the module
-    docstring.  Arrays are shared, not copied; treat as immutable.
+    H_Z(v) = v . zeeman for v in mT.  h_hfi, k_op and projector_singlet
+    (P_S) as in the module docstring.  The spin operators they are built
+    from are not kept.  Arrays are shared, not copied; treat as immutable.
     """
 
-    system: SpinSystem
     constants: PhysicalConstants
-    hyperfine: np.ndarray
+    hyperfine: np.ndarray  # (p, 3), mT
     zeeman: np.ndarray
     h_hfi: np.ndarray
     k_op: np.ndarray
+    projector_singlet: np.ndarray
 
     @property
     def p(self):
-        return self.system.p
+        return self.hyperfine.shape[0]
 
     @property
     def dim(self):
-        return self.system.dim
-
-    @property
-    def projector_singlet(self):
-        return self.system.projector_singlet
-
-    @property
-    def projector_triplet(self):
-        return self.system.projector_triplet
+        return self.zeeman.shape[-1]
 
     def hamiltonian_at(self, v_mt, adjoint=False):
         """Evolution generator at field v (3-vector, mT).
@@ -158,7 +149,6 @@ def build_model(p=1, constants=None, hyperfine=None):
         [constants.gyro * (system.s1[i] + system.s2[i]) for i in range(3)]
     )
     return ModelAssembly(
-        system=system,
         constants=constants,
         hyperfine=table,
         zeeman=zeeman,
@@ -166,6 +156,7 @@ def build_model(p=1, constants=None, hyperfine=None):
         k_op=build_recombination(
             system, constants.k_singlet, constants.k_triplet
         ),
+        projector_singlet=system.projector_singlet,
     )
 
 

@@ -157,37 +157,22 @@ def switching_function(
     return SwitchingSignal(values=np.array(w[::-1]), filtered=True)
 
 
-def node_sampled_control(control: ControlSignal):
-    """Control resampled on nodes, left-interval convention at the seam."""
-    values = control.values
-    return np.vstack([values, values[-1:]])
-
-
-def hp_density(phi: SwitchingSignal, control: ControlSignal):
-    """Pointwise phi(t_k) . u(t_k) on the nodes (PMP Hamiltonian density)."""
-    u_nodes = node_sampled_control(control)
-    return np.einsum("ki,ki->k", phi.values, u_nodes)
-
-
 def hp_integral(phi: SwitchingSignal, control: ControlSignal, grid: TimeGrid):
     """int phi . u dt, exact in the piecewise-constant u, trapezoid in phi."""
     avg = phi.interval_averages()
     return float(grid.h * np.sum(avg * control.values))
 
 
-def pmp_residual(
-    phi: SwitchingSignal, control: ControlSignal, dead_band=None
-):
+def pmp_residual(phi: SwitchingSignal, control: ControlSignal):
     """Fraction of decided (interval, component) pairs violating the
     bang-bang rule.
 
     A pair is decided when |phi_i| at the interval's left node exceeds the
-    dead band (default 1e-8 * max|phi|); it is violated when u_i does not
-    sit on the bound phi's sign selects.  Returns 0.0 if nothing is decided.
+    dead band 1e-8 * max|phi|; it is violated when u_i does not sit on the
+    bound phi's sign selects.  Returns 0.0 if nothing is decided.
     """
     phi_left = phi.values[:-1]
-    if dead_band is None:
-        dead_band = 1.0e-8 * np.max(np.abs(phi.values))
+    dead_band = 1.0e-8 * np.max(np.abs(phi.values))
     bounds = control.bounds
     decided = np.abs(phi_left) > dead_band
     if not np.any(decided):

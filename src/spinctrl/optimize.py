@@ -9,7 +9,7 @@ the exact adjoint gradient with a Barzilai-Borwein step
 
 projects back onto the prism after every update, and stops when the
 relative cost change and the relative control change both fall under their
-tolerances.
+fixed tolerances GPM_EPS_COST and GPM_EPS_CTRL.
 
 The iterative maximum-principle method (IPMP) replaces the line search by
 the pointwise optimality condition: each sweep computes the switching
@@ -21,7 +21,7 @@ keeping the previous value on exact zeros; phi is sampled at each
 interval's left node.  A fixed point (synthesis returns its input) is an
 exact PMP point.  The map can also fall into a short cycle (typically
 period two at weak filtering), which is detected by comparing against the
-recent iterate window; the best-cost cycle member is reported.
+last IPMP_CYCLE_WINDOW iterates; the best-cost cycle member is reported.
 """
 
 from __future__ import annotations
@@ -50,6 +50,10 @@ logger = logging.getLogger(__name__)
 STATUS_CONVERGED = "Converged"
 STATUS_MAX_ITERS = "MaxIters"
 STATUS_OSCILLATING = "Oscillating"
+
+GPM_EPS_COST = 1.0e-5  # GPM stops when the relative cost change and
+GPM_EPS_CTRL = 1.0e-5  # the relative control change both fall under these
+IPMP_CYCLE_WINDOW = 8  # recent iterates each IPMP candidate is checked against
 
 
 def control_inner(a, b, h):
@@ -132,14 +136,10 @@ class GpmSettings:
     """Projected-gradient settings; the first step moves the control by
     10% of the narrowest prism width."""
 
-    eps_cost: float = 1.0e-5
-    eps_ctrl: float = 1.0e-5
     max_iters: int = 200
     step_scale: float = 1.0
 
     def __post_init__(self):
-        if self.eps_cost <= 0 or self.eps_ctrl <= 0:
-            raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.step_scale <= 0:
@@ -149,13 +149,10 @@ class GpmSettings:
 @dataclass(frozen=True)
 class IpmpSettings:
     max_iters: int = 50
-    cycle_window: int = 8
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.cycle_window < 2:
-            raise ValueError("cycle_window must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -209,7 +206,7 @@ def gpm_optimize(
                 "gpm iter %d cost=%.10f rel_dcost=%.3e rel_dctrl=%.3e",
                 n, cost, rel_cost, rel_ctrl,
             )
-            if rel_cost < settings.eps_cost and rel_ctrl < settings.eps_ctrl:
+            if rel_cost < GPM_EPS_COST and rel_ctrl < GPM_EPS_CTRL:
                 status = STATUS_CONVERGED
                 break
         else:
@@ -283,7 +280,7 @@ def ipmp_optimize(
             costs.append(cost)
             return report(STATUS_CONVERGED, n)
         cycle_start = None
-        oldest = max(0, n + 1 - settings.cycle_window)
+        oldest = max(0, n + 1 - IPMP_CYCLE_WINDOW)
         for j in range(n - 1, oldest - 1, -1):
             if np.array_equal(candidate.values, iterates[j].values):
                 cycle_start = j

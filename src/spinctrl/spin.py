@@ -42,11 +42,6 @@ MAX_PROTONS = 7  # resource guard: n = 2**(p+2) reaches 512 here
 MAX_ENSEMBLE_BYTES = 2 * 1024**3
 
 
-def kron(a, b):
-    """Kronecker product of two operators (dense, row-major)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def kron_chain(ops):
     """Left-to-right Kronecker product of a sequence of operators."""
     ops = list(ops)
@@ -84,14 +79,6 @@ class SpinSystem:
     projector_triplet: np.ndarray
 
 
-def build_projectors(s1, s2, dim):
-    """Singlet/triplet projectors from the electron spin operators."""
-    dot = s1[0] @ s2[0] + s1[1] @ s2[1] + s1[2] @ s2[2]
-    p_s = 0.25 * np.eye(dim, dtype=complex) - dot
-    p_t = np.eye(dim, dtype=complex) - p_s
-    return p_s, p_t
-
-
 def build_spin_system(p):
     """Assemble all spin operators for p protons.
 
@@ -112,7 +99,9 @@ def build_spin_system(p):
         tuple(_embed(op, 2 + j, n_slots) for op in SPIN_HALF)
         for j in range(p)
     )
-    p_s, p_t = build_projectors(s1, s2, dim)
+    dot = s1[0] @ s2[0] + s1[1] @ s2[1] + s1[2] @ s2[2]
+    p_s = 0.25 * np.eye(dim, dtype=complex) - dot  # P_S = I/4 - S1.S2
+    p_t = np.eye(dim, dtype=complex) - p_s
     return SpinSystem(
         p=p,
         dim=dim,

@@ -6,7 +6,12 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spinctrl.cli import apply_override, build_parser, load_config, main
-from spinctrl.experiments import ConfigError, ExperimentConfig, simulate
+from spinctrl.experiments import (
+    ConfigError,
+    ExperimentConfig,
+    resolve_matched_v0,
+    simulate,
+)
 
 
 def _leaf_paths(document, prefix=""):
@@ -18,6 +23,20 @@ def _leaf_paths(document, prefix=""):
         else:
             paths.append(path)
     return paths
+
+
+SIGNED_PRISM = ("prism.lower=[3,3,-1]", "prism.upper=[6,6,2]")
+
+
+def _run_recorded_v0(tmp_path, capsys, command, overrides):
+    """filter.v0 in the config.json of one run of `command`."""
+    args = [command, "--out", str(tmp_path / "res")]
+    for patch in overrides:
+        args += ["--override", patch]
+    assert main(args) == 0
+    run_dir = capsys.readouterr().out.rsplit("run=", 1)[1].strip()
+    with open(os.path.join(run_dir, "config.json")) as fh:
+        return json.load(fh)["filter"]["v0"]
 
 
 def _write_config(tmp_path, document, name="config.json"):
@@ -138,6 +157,10 @@ class TestValidate:
     def test_unknown_override_exits_1(self, capsys):
         assert main(["validate", "--override", "filtre.gamma=2"]) == 1
         assert "filtre" in capsys.readouterr().err
+        # the cycle window is a constant of the optimizer, not a key
+        key = "optimizer.ipmp.cycle_window"
+        assert main(["validate", "--override", f"{key}=8"]) == 1
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "override",
@@ -195,6 +218,14 @@ class TestOptimizeCommand:
         args = ["optimize", "--config", path, "--out", str(tmp_path / "res")]
         assert main(args + ["--strict"]) == 3
         assert main(args) == 0  # without --strict the cap is only reported
+
+    def test_start_outside_prism_exits_1_naming_key(self, tmp_path, capsys):
+        # the default start [3,3,3] lies outside prism case 2
+        args = ["optimize", "--out", str(tmp_path / "res")]
+        for patch in SIGNED_PRISM + ("steps=20",):
+            args += ["--override", patch]
+        assert main(args) == 1
+        assert "config key u0.vector" in capsys.readouterr().err
 
     def test_overflow_exits_2(self, tmp_path, capsys):
         path = _write_config(
@@ -291,6 +322,31 @@ class TestSweepCommand:
         lines = open(os.path.join(run_dir, "sweep.csv")).read().splitlines()
         assert lines[0] == "gamma,J,status"
         assert len(lines) == 3
+
+    def test_matched_v0_is_recorded_resolved(self, tmp_path, capsys):
+        overrides = ("steps=20", "sweep.gammas=[1.0]", "filter.v0=matched")
+        assert _run_recorded_v0(tmp_path, capsys, "sweep-gamma", overrides) == (
+            list(resolve_matched_v0(load_config(None, overrides))[0].v0)
+        )
+
+
+class TestGridStudyCommand:
+    def test_unused_start_outside_prism_exits_0(self, tmp_path, capsys):
+        # grid-study never uses u0.vector, so the default one may lie outside
+        args = ["grid-study", "--out", str(tmp_path / "res")]
+        for patch in SIGNED_PRISM + ("steps=20",):
+            args += ["--override", patch]
+        assert main(args) == 0
+        assert "classification=" in capsys.readouterr().out
+
+    def test_matched_v0_is_recorded_resolved(self, tmp_path, capsys):
+        overrides = SIGNED_PRISM + (
+            "steps=20", "u0.vector=[3,3,0]", "filter.v0=matched"
+        )
+        config = load_config(None, overrides)  # the study's IPMP is the default
+        assert _run_recorded_v0(tmp_path, capsys, "grid-study", overrides) == (
+            list(resolve_matched_v0(config)[0].v0)
+        )
 
 
 class TestYieldLossCommand:

@@ -75,19 +75,6 @@ class TestControlSignal:
         with pytest.raises(ValueError):
             ControlSignal(values=np.zeros((4, 2)), bounds=PRISM)
 
-    def test_refine_repeats_values(self):
-        grid = make_grid(3)
-        u = ControlSignal(
-            values=np.array([[3.0, 4.0, 5.0], [6.0, 3.0, 4.0], [5.0, 5.0, 5.0]]),
-            bounds=PRISM,
-        )
-        fine = u.refine(2)
-        assert fine.steps == 6
-        assert_allclose(fine.values[0], fine.values[1])
-        assert_allclose(fine.values[0], u.values[0])
-        with pytest.raises(ValueError):
-            u.refine(0)
-
 
 class TestFilterConfig:
     def test_gamma_must_be_positive_when_enabled(self):
@@ -232,7 +219,7 @@ class TestIntegrateForward:
         u = constant_control([3.0, 3.0, 3.0], grid, PRISM)
         fields = filter_field(u, FilterConfig(), grid)
         forward = integrate_forward(model, fields, basis, grid)
-        assert forward.node_count == 21
+        assert forward.states.shape[0] == 21
         assert_allclose(forward.states[0], basis.states, atol=0)
 
     def test_exponential_norm_law(self):
@@ -305,7 +292,8 @@ class TestIntegrateForward:
         def endpoint(factor):
             steps = 50 * factor
             grid = make_grid(steps)
-            u = coarse.refine(factor)
+            values = np.repeat(coarse.values, factor, axis=0)
+            u = ControlSignal(values=values, bounds=PRISM)
             fields = filter_field(u, FilterConfig(gamma=1.0), grid)
             return integrate_forward(model, fields, basis, grid).states[-1]
 

@@ -247,6 +247,17 @@ def test_initial_control_rejects_grid_kind():
         build_problem(ExperimentConfig(u0_kind="grid"))
 
 
+def test_start_outside_prism_names_its_key():
+    signed = dict(prism_lower=(3.0, 3.0, -1.0), prism_upper=(6.0, 6.0, 2.0))
+    constant = ExperimentConfig(steps=4, **signed)  # default start [3,3,3]
+    with pytest.raises(ConfigError, match="config key u0.vector: "):
+        initial_control(constant, build_problem(constant))
+    rows = ((3.0, 3.0, 0.0),) * 3 + ((3.0, 3.0, 2.5),)
+    explicit = replace(constant, u0_kind="explicit", u0_values=rows)
+    with pytest.raises(ConfigError, match="config key u0.values: "):
+        initial_control(explicit, build_problem(explicit))
+
+
 class TestRunSingle:
     def test_persisted_layout(self, tmp_path):
         cfg, report, run_dir = run_single(FAST, out=str(tmp_path))
@@ -351,7 +362,9 @@ class TestSweeps:
         assert SweepRow(gamma=2.0, cost=0.1, status="Converged").label == "2.0"
 
     def test_single_gamma_row_matches_standalone_run(self):
-        rows = gamma_sweep(FAST, gammas=(1.0,))
+        cfg = replace(FAST, gammas=(1.0,))
+        rows = gamma_sweep(cfg)
+        assert rows.config == cfg  # nothing to resolve
         assert len(rows) == 2
         row, baseline = rows
         assert row.gamma == 1.0
@@ -363,6 +376,14 @@ class TestSweeps:
             replace(FAST, filter_enabled=False, v0=(0.0, 0.0, 0.0))
         )
         assert baseline.cost == ref.final_cost
+
+    def test_matched_sweep_hands_back_resolved_config(self):
+        cfg = replace(FAST, gammas=(1.0,), v0="matched")
+        rows = gamma_sweep(cfg)
+        resolved, report = resolve_matched_v0(cfg)
+        assert rows.config == resolved
+        # the no-filter solve of the resolution is the baseline row
+        assert rows[-1].cost == report.final_cost
 
     def test_persist_sweep_layout(self, tmp_path):
         rows = [
@@ -390,9 +411,8 @@ class TestYieldLoss:
         assert_allclose(row.loss_percent, 12.5, rtol=1e-12)
 
     def test_rows_and_summary(self):
-        rows, summary = yield_loss_table(
-            FAST, starts=((3.0, 3.0, 3.0),), p_values=(1,), gammas=(1.0, 60.0)
-        )
+        cfg = replace(FAST, gammas=(1.0, 60.0), p_max=1)
+        rows, summary = yield_loss_table(cfg, starts=((3.0, 3.0, 3.0),))
         assert [r.gamma for r in rows] == [1.0, 60.0]
         assert all(r.p == 1 and r.u0_label == "[3,3,3]" for r in rows)
         assert all(r.j_filtered >= 0.0 and r.j_nofilter >= 0.0 for r in rows)
@@ -405,9 +425,8 @@ class TestYieldLoss:
         assert rows[1].loss_percent < 1.5
 
     def test_start_labels(self):
-        rows, summary = yield_loss_table(
-            FAST, starts=((6.0, 6.0, 3.0),), p_values=(1,), gammas=(1.0,)
-        )
+        cfg = replace(FAST, gammas=(1.0,), p_max=1)
+        rows, summary = yield_loss_table(cfg, starts=((6.0, 6.0, 3.0),))
         assert rows[0].u0_label == "[6,6,3]"
         assert (1, "[6,6,3]") in summary
 
@@ -443,4 +462,5 @@ def test_uniqueness_study_resolves_matched_v0():
     assert len(study.costs) == 54
     # resolved once, with IPMP, and shared by every start
     resolved, _ = resolve_matched_v0(replace(cfg, method="ipmp"))
+    assert study.config == resolved
     assert study.costs == uniqueness_study(resolved).costs

@@ -24,7 +24,6 @@ class TestConstants:
         assert c.gyro == pytest.approx(176.0859)
         assert c.k_singlet == 10.0
         assert c.k_triplet == 10.0
-        assert c.hbar == 1.0
 
     def test_rejects_nonpositive_gyro(self):
         with pytest.raises(ValueError):

@@ -21,9 +21,7 @@ from spinctrl.model import MT_PER_UT, build_model, triplet_states
 from spinctrl.objective import (
     SwitchingSignal,
     gradient_integrand,
-    hp_density,
     hp_integral,
-    node_sampled_control,
     pmp_residual,
     singlet_populations,
     singlet_yield,
@@ -269,39 +267,31 @@ class TestBlockedContractions:
         assert peak < 4 * dynamics.BLOCK_BYTES
 
 
-def test_node_sampled_control_seam():
-    grid = TimeGrid(t_final=1.0, steps=2)
-    u = ControlSignal(
-        values=np.array([[3.0, 4.0, 5.0], [6.0, 5.0, 4.0]]), bounds=PRISM
-    )
-    nodes = node_sampled_control(u)
-    assert nodes.shape == (3, 3)
-    assert_allclose(nodes[1], u.values[1])  # left-interval convention
-    assert_allclose(nodes[2], u.values[1])  # final node repeats last interval
-
-
 class TestHpDensity:
     def test_zero_phi(self):
         grid = TimeGrid(t_final=1.0, steps=4)
         phi = SwitchingSignal(values=np.zeros((5, 3)), filtered=True)
         u = constant_control([4.0, 4.0, 4.0], grid, PRISM)
-        assert np.max(np.abs(hp_density(phi, u))) == 0.0
+        assert hp_integral(phi, u, grid) == 0.0
 
     def test_sign_vertex_maximizes_pointwise(self):
-        """phi . u is linear in u, so the sign-selected vertex dominates
-        every other prism point at each node."""
+        """int phi . u dt is linear in each interval's u, with the
+        interval-averaged phi as its coefficient, so the vertex that average
+        selects by sign dominates every other prism point."""
         rng = np.random.default_rng(8)
         grid = TimeGrid(t_final=1.0, steps=6)
         phi_vals = rng.standard_normal((7, 3))
         phi = SwitchingSignal(values=phi_vals, filtered=False)
-        best_nodes = np.where(phi_vals > 0, PRISM.upper, PRISM.lower)
-        best_density = np.einsum("ki,ki->k", phi_vals, best_nodes)
+        avg = 0.5 * (phi_vals[:-1] + phi_vals[1:])
+        best = ControlSignal(
+            values=np.where(avg > 0, PRISM.upper, PRISM.lower), bounds=PRISM
+        )
+        best_integral = hp_integral(phi, best, grid)
         for _ in range(50):
             u = ControlSignal(
                 values=rng.uniform(3.0, 6.0, (6, 3)), bounds=PRISM
             )
-            density = hp_density(phi, u)
-            assert np.all(density <= best_density + 1e-12)
+            assert hp_integral(phi, u, grid) <= best_integral + 1e-12
 
     def test_hp_integral_hand_case(self):
         """Two intervals, hand-computed trapezoid-in-phi integral."""

@@ -190,10 +190,6 @@ class TestSynthesize:
 class TestSettingsValidation:
     def test_gpm_settings(self):
         with pytest.raises(ValueError):
-            GpmSettings(eps_cost=0.0)
-        with pytest.raises(ValueError):
-            GpmSettings(eps_ctrl=-1.0)
-        with pytest.raises(ValueError):
             GpmSettings(max_iters=0)
         with pytest.raises(ValueError):
             GpmSettings(step_scale=0.0)
@@ -201,8 +197,6 @@ class TestSettingsValidation:
     def test_ipmp_settings(self):
         with pytest.raises(ValueError):
             IpmpSettings(max_iters=0)
-        with pytest.raises(ValueError):
-            IpmpSettings(cycle_window=1)
 
 
 class TestGpm:

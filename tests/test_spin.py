@@ -8,7 +8,6 @@ from spinctrl.spin import (
     SIGMA_Y,
     SIGMA_Z,
     build_spin_system,
-    kron,
     kron_chain,
 )
 
@@ -34,25 +33,27 @@ def comm(a, b):
 
 class TestKron:
     def test_identity_times_identity(self):
-        assert_allclose(kron(IDENTITY_2, IDENTITY_2), np.eye(4), atol=TOL)
+        assert_allclose(kron_chain([IDENTITY_2, IDENTITY_2]), np.eye(4), atol=TOL)
 
     def test_sigma_x_times_identity(self):
         """sigma_x (x) E2 has identity blocks on the anti-diagonal."""
-        out = kron(SIGMA_X, IDENTITY_2)
+        out = kron_chain([SIGMA_X, IDENTITY_2])
         expected = np.zeros((4, 4), dtype=complex)
         expected[:2, 2:] = np.eye(2)
         expected[2:, :2] = np.eye(2)
         assert_allclose(out, expected, atol=TOL)
 
     def test_sigma_x_times_sigma_z_oracle(self):
-        assert_allclose(kron(SIGMA_X, SIGMA_Z), KRON_XZ_ORACLE, atol=TOL)
+        assert_allclose(kron_chain([SIGMA_X, SIGMA_Z]), KRON_XZ_ORACLE, atol=TOL)
 
     def test_associativity_random(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=TOL)
+        left = kron_chain([kron_chain([a, b]), c])
+        right = kron_chain([a, kron_chain([b, c])])
+        assert_allclose(left, right, atol=TOL)
 
     def test_chain_of_identities(self):
         assert_allclose(kron_chain([IDENTITY_2] * 3), np.eye(8), atol=TOL)
