@@ -16,14 +16,14 @@ from spinctrl.experiments import build_problem, run_single
 
 cfg = ExperimentConfig()  # p=1, prism [3,6]^3 uT, gamma=1, v0=[3,3,3]
 
-_, ipmp, _ = run_single(replace(cfg, method="ipmp"))
+_, ipmp = run_single(replace(cfg, method="ipmp"))
 print(f"ipmp: {ipmp.status} after {ipmp.iterations} iterations, "
       f"J = {ipmp.final_cost:.9f}")
 
 # step_scale stretches the BB step; the dual tolerance is control-bound
 # and needs the larger steps to settle inside a comparable budget
 gpm_cfg = replace(cfg, method="gpm", gpm=GpmSettings(step_scale=12.0))
-_, gpm, _ = run_single(gpm_cfg)
+_, gpm = run_single(gpm_cfg)
 print(f"gpm:  {gpm.status} after {gpm.iterations} iterations, "
       f"J = {gpm.final_cost:.9f}")
 

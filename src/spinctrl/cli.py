@@ -5,7 +5,8 @@ Exit status: 0 success; 1 configuration or usage error; 2 numerical abort
 --strict was given (optimize, sweep-gamma, yield-loss, grid-study).
 Configs are single JSON documents; --override patches dotted keys on top.
 Results land under --out, the SPINCTRL_OUT environment variable, or
-./results, in that order.
+./results, in that order.  Each run subcommand only computes its files and
+stdout lines; run_command makes the one write_run call for all of them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .dynamics import ControlSignal, IntegrationOverflow, Prism
+from .dynamics import ControlSignal, IntegrationOverflow, Prism, TimeGrid
 from .experiments import (
     SCHEMA,
     ConfigError,
@@ -27,7 +28,9 @@ from .experiments import (
     compare_controls,
     config_from_dict,
     gamma_sweep,
+    run_files,
     run_single,
+    set_key,
     simulate,
     uniqueness_study,
     write_csv,  # noqa: F401  re-exported so that tracers can rebind it here
@@ -59,14 +62,7 @@ def apply_override(document, assignment):
         key = "optimizer.method"
     if key not in {row[0] for row in SCHEMA}:
         raise ConfigError(f"unknown config key: {key}")
-    parts = key.split(".")
-    target = document
-    for part in parts[:-1]:
-        target = target.setdefault(part, {})
-        if not isinstance(target, dict):
-            raise ConfigError(f"config key {key} collides with a non-object value")
-    target[parts[-1]] = _parse_override_value(text)
-    return document
+    return set_key(document, key, _parse_override_value(text))
 
 
 def load_config(path, overrides=()):
@@ -146,8 +142,25 @@ def build_parser():
     return parser
 
 
-def cmd_simulate(args):
-    config = load_config(args.config, args.override)
+def run_command(study):
+    """Handler of a run subcommand whose `study` maps (config, args) to
+    (config to record, files, stdout lines, capped).  It makes the one
+    write_run call, ends the last line with run=<dir>, and exits 3 on a
+    capped run under --strict."""
+
+    def handler(args):
+        config = load_config(args.config, args.override)
+        config, files, lines, capped = study(config, args)
+        run_dir = write_run(_out_dir(args), args.command, config, files)
+        lines[-1] += f" run={run_dir}"
+        print("\n".join(lines))
+        return 3 if capped and args.strict else 0
+
+    return handler
+
+
+@run_command
+def cmd_simulate(config, args):
     config, problem, fields, forward, cost = simulate(config)
     nodes = problem.grid.nodes
     norms = np.einsum("ksl,ksl->k", forward.states.conj(), forward.states).real
@@ -167,69 +180,53 @@ def cmd_simulate(args):
             ("t", "state", "component", "re", "im"),
             zip(nodes[k], state, component, z.real, z.imag),
         )
-    run_dir = write_run(_out_dir(args), "simulate", config, files)
-    print(f"simulate: J={float(cost):.10f} run={run_dir}")
-    return 0
+    return config, files, [f"simulate: J={float(cost):.10f}"], False
 
 
-def cmd_optimize(args):
-    config = load_config(args.config, args.override)
-    config, report, run_dir = run_single(config, out=_out_dir(args))
-    print(
+@run_command
+def cmd_optimize(config, args):
+    config, report = run_single(config)
+    files = run_files(TimeGrid(config.t_final, config.steps), report)
+    line = (
         f"optimize[{config.method}]: status={report.status} "
-        f"iterations={report.iterations} J={report.final_cost:.10f} run={run_dir}"
+        f"iterations={report.iterations} J={report.final_cost:.10f}"
     )
-    if args.strict and report.status == STATUS_MAX_ITERS:
-        return 3
-    return 0
+    return config, files, [line], report.status == STATUS_MAX_ITERS
 
 
-def cmd_sweep_gamma(args):
-    config = load_config(args.config, args.override)
+@run_command
+def cmd_sweep_gamma(config, args):
     rows = gamma_sweep(config)
-    table = [(row.label, row.cost, row.status) for row in rows]
-    run_dir = write_run(
-        _out_dir(args),
-        "sweep-gamma",
-        rows.config,
-        {"sweep.csv": (("gamma", "J", "status"), table)},
-    )
-    for row in rows:
-        print(f"gamma={row.label}: J={row.cost:.10f} status={row.status}")
-    print(f"sweep-gamma: run={run_dir}")
-    if args.strict and any(row.status == STATUS_MAX_ITERS for row in rows):
-        return 3
-    return 0
+    table = [(r.label, r.cost, r.status) for r in rows]
+    lines = [f"gamma={r.label}: J={r.cost:.10f} status={r.status}" for r in rows]
+    capped = any(r.status == STATUS_MAX_ITERS for r in rows)
+    files = {"sweep.csv": (("gamma", "J", "status"), table)}
+    return rows.config, files, [*lines, "sweep-gamma:"], capped
 
 
-def cmd_yield_loss(args):
-    config = load_config(args.config, args.override)
+@run_command
+def cmd_yield_loss(config, args):
     rows, summary = yield_loss_table(config)
     header = ("p", "u0", "gamma", "J_filtered", "J_nofilter", "loss_percent")
     table = [
         (r.p, r.u0_label, r.gamma, r.j_filtered, r.j_nofilter, r.loss_percent)
         for r in rows
     ]
+    ranges = sorted(summary.items())
     summary_doc = [
         {"p": p, "u0": label, "min_loss_percent": lo, "max_loss_percent": hi}
-        for (p, label), (lo, hi) in sorted(summary.items())
+        for (p, label), (lo, hi) in ranges
     ]
-    run_dir = write_run(
-        _out_dir(args),
-        "yield-loss",
-        config,
-        {"yield_loss.csv": (header, table), "summary.json": summary_doc},
-    )
-    for (p, label), (lo, hi) in sorted(summary.items()):
-        print(f"p={p} u0={label}: loss% in [{lo:.4f}, {hi:.4f}]")
-    print(f"yield-loss: run={run_dir}")
-    if args.strict and any(row.capped for row in rows):
-        return 3
-    return 0
+    lines = [
+        f"p={p} u0={label}: loss% in [{lo:.4f}, {hi:.4f}]"
+        for (p, label), (lo, hi) in ranges
+    ]
+    files = {"yield_loss.csv": (header, table), "summary.json": summary_doc}
+    return config, files, [*lines, "yield-loss:"], any(row.capped for row in rows)
 
 
-def cmd_grid_study(args):
-    config = load_config(args.config, args.override)
+@run_command
+def cmd_grid_study(config, args):
     study = uniqueness_study(config)
     report = {
         "classification": study.classification,
@@ -243,20 +240,13 @@ def cmd_grid_study(args):
         "costs": [float(c) for c in study.costs],
     }
     runs = zip(range(len(study.costs)), study.statuses, study.costs)
-    run_dir = write_run(
-        _out_dir(args),
-        "grid-study",
-        study.config,
-        {"report.json": report, "runs.csv": (("index", "status", "J"), runs)},
-    )
-    print(
+    files = {"report.json": report, "runs.csv": (("index", "status", "J"), runs)}
+    line = (
         f"grid-study: classification={study.classification} "
         f"max_ctrl={study.max_pairwise_ctrl:.6f} "
-        f"max_cost={study.max_pairwise_cost:.3e} run={run_dir}"
+        f"max_cost={study.max_pairwise_cost:.3e}"
     )
-    if args.strict and any(s == STATUS_MAX_ITERS for s in study.statuses):
-        return 3
-    return 0
+    return study.config, files, [line], STATUS_MAX_ITERS in study.statuses
 
 
 def _read_run(run_dir):

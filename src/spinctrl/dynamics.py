@@ -118,6 +118,11 @@ class Prism:
     def clip(self, values):
         return np.clip(np.asarray(values, dtype=float), self.lower, self.upper)
 
+    def bang_bang(self, phi):
+        """The maximum-principle sign rule: upper bound where phi > 0,
+        lower bound elsewhere."""
+        return np.where(phi > 0.0, self.upper, self.lower)
+
 
 @dataclass(frozen=True)
 class ControlSignal:

@@ -17,7 +17,8 @@ layout:
 plus flat summary tables (sweep.csv, yield_loss.csv) for the sweep studies.
 The run id is a hash of the resolved configuration, so identical configs
 land in identical directories with bit-identical files.  write_run is the
-one writer; it moves each finished file into place atomically.
+one writer, and the CLI makes its one call; it moves each finished file
+into place atomically.  The studies only compute and return.
 
 Configs carry fields in uT (controls, prisms, filter state); hyperfine rows
 are mT.  A filter v0 may be the string "matched", which resolves to the
@@ -176,12 +177,20 @@ class ExperimentConfig:
             value = reduce(getattr, attr.split("."), self)
             if key == "hyperfine" and value is None:
                 value = default_hyperfine(self.p)
-            *sections, leaf = key.split(".")
-            node = document
-            for section in sections:
-                node = node.setdefault(section, {})
-            node[leaf] = _plain(value)
+            set_key(document, key, _plain(value))
         return document
+
+
+def set_key(document, key, value):
+    """Set dotted `key` in a nested document, adding sections as needed."""
+    *sections, leaf = key.split(".")
+    node = document
+    for section in sections:
+        node = node.setdefault(section, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"config key {key} collides with a non-object value")
+    node[leaf] = value
+    return document
 
 
 def _plain(value):
@@ -397,10 +406,7 @@ def build_problem(config: ExperimentConfig):
         k_singlet=config.k_singlet,
         k_triplet=config.k_triplet,
     )
-    hyperfine = (
-        None if config.hyperfine is None else np.asarray(config.hyperfine)
-    )
-    assembly = build_model(p=config.p, constants=constants, hyperfine=hyperfine)
+    assembly = build_model(p=config.p, constants=constants, hyperfine=config.hyperfine)
     basis = triplet_states(config.p)
     grid = TimeGrid(config.t_final, config.steps)
     prism = Prism(lower=config.prism_lower, upper=config.prism_upper)
@@ -447,8 +453,11 @@ def resolve_matched_v0(config: ExperimentConfig):
 
     The no-filter problem is solved from the same starting control; its
     optimal control equals its field, and the value on the first interval
-    seeds the filter.  Returns (resolved config, no-filter report).
+    seeds the filter.  Returns (resolved config, no-filter report), or
+    (config, None) when v0 is already a vector.
     """
+    if not isinstance(config.v0, str):
+        return config, None
     nofilter = replace(config, filter_enabled=False, v0=(0.0, 0.0, 0.0))
     problem = build_problem(nofilter)
     report = run_optimizer(problem, initial_control(nofilter, problem), nofilter)
@@ -456,24 +465,12 @@ def resolve_matched_v0(config: ExperimentConfig):
     return replace(config, v0=v0), report
 
 
-def resolved_config(config: ExperimentConfig):
-    if isinstance(config.v0, str):
-        config, _ = resolve_matched_v0(config)
-    return config
-
-
-def run_single(config: ExperimentConfig, out=None, name="optimize"):
-    """One optimization run; persists when `out` is given.
-
-    Returns (resolved config, report, run directory or None).
-    """
-    config = resolved_config(config)
+def run_single(config: ExperimentConfig):
+    """One optimization run; returns (resolved config, report)."""
+    config, _ = resolve_matched_v0(config)
     problem = build_problem(config)
     report = run_optimizer(problem, initial_control(config, problem), config)
-    run_dir = None
-    if out is not None:
-        run_dir = write_run(out, name, config, run_files(problem.grid, report))
-    return config, report, run_dir
+    return config, report
 
 
 def simulate(config: ExperimentConfig):
@@ -481,7 +478,7 @@ def simulate(config: ExperimentConfig):
 
     Returns (resolved config, problem, fields, forward ensemble, cost).
     """
-    config = resolved_config(config)
+    config, _ = resolve_matched_v0(config)
     problem = build_problem(config)
     u0 = initial_control(config, problem)
     fields = filter_field(u0, problem.filter_cfg, problem.grid)
@@ -522,19 +519,16 @@ def gamma_sweep(config: ExperimentConfig):
     is resolved once and shared by every row, and the no-filter optimum it
     came from doubles as the baseline.
     """
-    baseline_report = None
-    if isinstance(config.v0, str):
-        config, baseline_report = resolve_matched_v0(config)
-
+    config, baseline_report = resolve_matched_v0(config)
     rows = []
     for gamma in config.gammas:
-        _, report, _ = run_single(replace(config, filter_enabled=True, gamma=gamma))
+        _, report = run_single(replace(config, filter_enabled=True, gamma=gamma))
         rows.append(
             SweepRow(gamma=gamma, cost=report.final_cost, status=report.status)
         )
     if baseline_report is None:
         nofilter = replace(config, filter_enabled=False, v0=(0.0, 0.0, 0.0))
-        _, baseline_report, _ = run_single(nofilter)
+        _, baseline_report = run_single(nofilter)
     rows.append(
         SweepRow(
             gamma=None,
@@ -563,34 +557,30 @@ def yield_loss_table(config: ExperimentConfig, starts=YIELD_LOSS_STARTS):
     """Loss of optimal yield due to filtering, per (p, u0, gamma), for p in
     1..sweep.p_max and gamma in sweep.gammas.
 
-    The no-filter reference for each (p, u0) pair is its own optimization
-    run in no-filter mode (direct-control switching function), never a
-    large-gamma stand-in.  The filter starts at v0 = u0.  Returns (rows,
-    summary) where summary maps (p, label) -> (min, max) loss percent.
+    Each (p, u0) pair is one gamma sweep, so the no-filter reference is its
+    own optimization run in no-filter mode (direct-control switching
+    function), never a large-gamma stand-in.  The filter starts at v0 = u0.
+    Returns (rows, summary) where summary maps (p, label) -> (min, max)
+    loss percent.
     """
     rows = []
     for p in range(1, config.p_max + 1):
+        base = replace(config, p=p, hyperfine=None, u0_kind="constant")
         for start in starts:
             label = "[" + ",".join(f"{c:g}" for c in start) + "]"
             start = tuple(float(c) for c in start)
-            base = replace(
-                config, p=p, hyperfine=None, u0_kind="constant", u0_vector=start
-            )
-            nofilter = replace(base, filter_enabled=False, v0=(0.0, 0.0, 0.0))
-            _, ref, _ = run_single(nofilter)
-            for gamma in config.gammas:
-                run_cfg = replace(base, filter_enabled=True, gamma=gamma, v0=start)
-                _, rep, _ = run_single(run_cfg)
-                rows.append(
-                    YieldLossRow(
-                        p=p,
-                        u0_label=label,
-                        gamma=gamma,
-                        j_filtered=rep.final_cost,
-                        j_nofilter=ref.final_cost,
-                        capped=STATUS_MAX_ITERS in (rep.status, ref.status),
-                    )
+            *filtered, ref = gamma_sweep(replace(base, u0_vector=start, v0=start))
+            rows.extend(
+                YieldLossRow(
+                    p=p,
+                    u0_label=label,
+                    gamma=row.gamma,
+                    j_filtered=row.cost,
+                    j_nofilter=ref.cost,
+                    capped=STATUS_MAX_ITERS in (row.status, ref.status),
                 )
+                for row in filtered
+            )
     summary = {}
     for row in rows:
         key = (row.p, row.u0_label)
@@ -629,7 +619,7 @@ def uniqueness_study(config: ExperimentConfig, vertices=STUDY_VERTICES):
     regularizes away the start dependence only makes sense when the runs
     share one problem.
     """
-    config = resolved_config(replace(config, method="ipmp"))
+    config, _ = resolve_matched_v0(replace(config, method="ipmp"))
     problem = build_problem(config)
     starts = []
     for vertex in vertices:

@@ -164,7 +164,6 @@ def build_model(p=1, constants=None, hyperfine=None):
 class TripletBasis:
     """The 3 * 2**p triplet-born initial states, columns of `states`."""
 
-    p: int
     count: int
     states: np.ndarray  # (dim, count) complex, orthonormal columns
 
@@ -185,4 +184,4 @@ def triplet_states(p):
         states[offset, q + offset] = 1.0
         # T-: both electrons in the second configuration
         states[3 * q + offset, 2 * q + offset] = 1.0
-    return TripletBasis(p=p, count=count, states=states)
+    return TripletBasis(count=count, states=states)

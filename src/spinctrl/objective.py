@@ -88,7 +88,6 @@ class SwitchingSignal:
     """Gradient density phi sampled on nodes: values[k] = phi(t_k), per uT."""
 
     values: np.ndarray  # (steps + 1, 3)
-    filtered: bool
 
     def interval_averages(self):
         """Trapezoid average of phi on each interval (the per-interval
@@ -138,7 +137,7 @@ def switching_function(
     """Control gradient / switching signal phi on the grid nodes."""
     m = gradient_integrand(forward, adjoint, assembly)
     if not cfg.enabled:
-        return SwitchingSignal(values=m, filtered=False)
+        return SwitchingSignal(values=m)
     a, b = _kernel_coefficients(cfg.gamma * grid.h)
     a, b = float(a), float(b)
     decay = float(np.exp(-cfg.gamma * grid.h))
@@ -154,7 +153,7 @@ def switching_function(
         wz = decay * wz + a * lz + b * rz
         w.append((wx, wy, wz))
         rx, ry, rz = lx, ly, lz
-    return SwitchingSignal(values=np.array(w[::-1]), filtered=True)
+    return SwitchingSignal(values=np.array(w[::-1]))
 
 
 def hp_integral(phi: SwitchingSignal, control: ControlSignal, grid: TimeGrid):
@@ -173,14 +172,8 @@ def pmp_residual(phi: SwitchingSignal, control: ControlSignal):
     """
     phi_left = phi.values[:-1]
     dead_band = 1.0e-8 * np.max(np.abs(phi.values))
-    bounds = control.bounds
     decided = np.abs(phi_left) > dead_band
     if not np.any(decided):
         return 0.0
-    target = np.where(
-        phi_left > 0.0,
-        np.broadcast_to(bounds.upper, phi_left.shape),
-        np.broadcast_to(bounds.lower, phi_left.shape),
-    )
-    violated = decided & (control.values != target)
+    violated = decided & (control.values != control.bounds.bang_bang(phi_left))
     return float(np.count_nonzero(violated) / np.count_nonzero(decided))

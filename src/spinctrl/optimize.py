@@ -88,20 +88,10 @@ def synthesize_bang_bang(
 ):
     """Sign rule applied at each interval's left node.
 
-    Upper bound where phi > 0, lower where phi < 0, previous value on an
-    exact zero.
+    Prism.bang_bang's bounds, except the previous value on an exact zero.
     """
     phi_left = phi.values[:-1]
-    shape = phi_left.shape
-    values = np.where(
-        phi_left > 0.0,
-        np.broadcast_to(bounds.upper, shape),
-        np.where(
-            phi_left < 0.0,
-            np.broadcast_to(bounds.lower, shape),
-            previous.values,
-        ),
-    )
+    values = np.where(phi_left == 0.0, previous.values, bounds.bang_bang(phi_left))
     return ControlSignal(values=values, bounds=bounds)
 
 

@@ -70,6 +70,10 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="key=value"):
             apply_override({}, "filter.gamma")
 
+    def test_section_holding_a_value_rejected(self):
+        with pytest.raises(ConfigError, match="filter.gamma collides"):
+            apply_override({"filter": 1.0}, "filter.gamma=2")
+
     def test_later_override_wins(self):
         cfg = load_config(None, ["filter.gamma=60", "filter.gamma=2"])
         assert cfg.gamma == 2.0
@@ -367,17 +371,22 @@ class TestYieldLossCommand:
             summary = json.load(fh)
         assert len(summary) == 3  # three starting controls at p = 1
 
-    def test_strict_maxiters_exits_3(self, tmp_path):
-        args = ["yield-loss", "--out", str(tmp_path / "res")]
-        for patch in (
-            "steps=20",
-            "sweep.p_max=1",
-            "sweep.gammas=[1.0]",
-            "optimizer.ipmp.max_iters=1",
-        ):
-            args += ["--override", patch]
-        assert main(args + ["--strict"]) == 3
-        assert main(args) == 0  # without --strict the cap is only reported
+
+@pytest.mark.parametrize(
+    "command, patches",
+    [
+        ("yield-loss", ("sweep.p_max=1", "sweep.gammas=[1.0]")),
+        ("sweep-gamma", ("sweep.gammas=[1.0]",)),
+        ("grid-study", ()),  # the study always runs IPMP
+    ],
+    ids=["yield-loss", "sweep-gamma", "grid-study"],
+)
+def test_strict_maxiters_exits_3(tmp_path, command, patches):
+    args = [command, "--out", str(tmp_path / "res")]
+    for patch in ("steps=20", "optimizer.ipmp.max_iters=1", *patches):
+        args += ["--override", patch]
+    assert main(args + ["--strict"]) == 3
+    assert main(args) == 0  # without --strict the cap is only reported
 
 
 class TestCompareCommand:

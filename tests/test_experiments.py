@@ -22,6 +22,7 @@ from spinctrl.experiments import (
     grid_points,
     initial_control,
     resolve_matched_v0,
+    run_files,
     run_id,
     run_single,
     simulate,
@@ -258,9 +259,17 @@ def test_start_outside_prism_names_its_key():
         initial_control(explicit, build_problem(explicit))
 
 
+def persisted_run(out):
+    """(config, report, run directory) of a FAST run written as the CLI
+    writes an optimize run."""
+    cfg, report = run_single(FAST)
+    grid = TimeGrid(cfg.t_final, cfg.steps)
+    return cfg, report, write_run(out, "optimize", cfg, run_files(grid, report))
+
+
 class TestRunSingle:
     def test_persisted_layout(self, tmp_path):
-        cfg, report, run_dir = run_single(FAST, out=str(tmp_path))
+        cfg, report, run_dir = persisted_run(str(tmp_path))
         assert run_dir == str(tmp_path / "optimize" / run_id(cfg, "optimize"))
         for name in (
             "config.json",
@@ -281,8 +290,8 @@ class TestRunSingle:
         assert doc["cost_history"] == [float(c) for c in report.cost_history]
 
     def test_rerun_is_bit_identical(self, tmp_path):
-        _, _, d1 = run_single(FAST, out=str(tmp_path / "a"))
-        _, _, d2 = run_single(FAST, out=str(tmp_path / "b"))
+        _, _, d1 = persisted_run(str(tmp_path / "a"))
+        _, _, d2 = persisted_run(str(tmp_path / "b"))
         names = sorted(os.listdir(d1))
         assert names == sorted(os.listdir(d2))
         for name in names:
@@ -293,7 +302,7 @@ class TestRunSingle:
             assert first == second, name
 
     def test_failed_rewrite_keeps_earlier_run(self, tmp_path, monkeypatch):
-        _, _, run_dir = run_single(FAST, out=str(tmp_path))
+        _, _, run_dir = persisted_run(str(tmp_path))
 
         def files():
             return {
@@ -310,13 +319,13 @@ class TestRunSingle:
 
         monkeypatch.setattr(experiments, "write_csv", failing_write_csv)
         with pytest.raises(OSError, match="disk full"):
-            run_single(FAST, out=str(tmp_path))
+            persisted_run(str(tmp_path))
         after = files()
         assert not [name for name in after if name.endswith(".tmp")]
         assert after == before
 
     def test_control_csv_contents(self, tmp_path):
-        cfg, report, run_dir = run_single(FAST, out=str(tmp_path))
+        cfg, report, run_dir = persisted_run(str(tmp_path))
         data = np.loadtxt(
             os.path.join(run_dir, "control.csv"), delimiter=",", skiprows=1
         )
@@ -328,7 +337,7 @@ class TestRunSingle:
         assert np.isin(data[:, 1:], [3.0, 6.0]).all()
 
     def test_field_csv_row_count(self, tmp_path):
-        cfg, report, run_dir = run_single(FAST, out=str(tmp_path))
+        cfg, report, run_dir = persisted_run(str(tmp_path))
         data = np.loadtxt(
             os.path.join(run_dir, "field.csv"), delimiter=",", skiprows=1
         )
@@ -346,6 +355,10 @@ def test_simulate_matches_problem_evaluate():
     assert 0.0 < cost < 1.0
     # the field trajectory starts at the filter seed
     assert_allclose(fields.node_values[0], rcfg.v0)
+
+
+def test_resolve_matched_v0_passes_a_vector_through():
+    assert resolve_matched_v0(FAST) == (FAST, None)
 
 
 def test_resolve_matched_v0_uses_nofilter_start_value():
@@ -368,13 +381,11 @@ class TestSweeps:
         assert len(rows) == 2
         row, baseline = rows
         assert row.gamma == 1.0
-        _, rep, _ = run_single(replace(FAST, filter_enabled=True, gamma=1.0))
+        _, rep = run_single(replace(FAST, filter_enabled=True, gamma=1.0))
         assert row.cost == rep.final_cost
         assert row.status == rep.status
         assert baseline.gamma is None
-        _, ref, _ = run_single(
-            replace(FAST, filter_enabled=False, v0=(0.0, 0.0, 0.0))
-        )
+        _, ref = run_single(replace(FAST, filter_enabled=False, v0=(0.0, 0.0, 0.0)))
         assert baseline.cost == ref.final_cost
 
     def test_matched_sweep_hands_back_resolved_config(self):

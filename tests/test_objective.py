@@ -143,7 +143,6 @@ class TestSwitchingFunction:
         u = constant_control([5.0, 4.0, 3.0], problem.grid, PRISM)
         fields, forward, _ = problem.evaluate(u)
         _, phi = problem.gradient(fields, forward)
-        assert phi.filtered
         assert np.max(np.abs(phi.values[-1])) == 0.0
 
     @pytest.mark.parametrize("gamma", [0.3, 1.0, 10.0, 1.0e-9])
@@ -168,7 +167,6 @@ class TestSwitchingFunction:
         fields, forward, _ = problem.evaluate(u)
         adjoint, phi = problem.gradient(fields, forward)
         m = gradient_integrand(forward, adjoint, problem.assembly)
-        assert not phi.filtered
         assert_allclose(phi.values, m, atol=0)
 
     def test_backward_recursion_vs_brute_force_quadrature(self):
@@ -270,7 +268,7 @@ class TestBlockedContractions:
 class TestHpDensity:
     def test_zero_phi(self):
         grid = TimeGrid(t_final=1.0, steps=4)
-        phi = SwitchingSignal(values=np.zeros((5, 3)), filtered=True)
+        phi = SwitchingSignal(values=np.zeros((5, 3)))
         u = constant_control([4.0, 4.0, 4.0], grid, PRISM)
         assert hp_integral(phi, u, grid) == 0.0
 
@@ -281,7 +279,7 @@ class TestHpDensity:
         rng = np.random.default_rng(8)
         grid = TimeGrid(t_final=1.0, steps=6)
         phi_vals = rng.standard_normal((7, 3))
-        phi = SwitchingSignal(values=phi_vals, filtered=False)
+        phi = SwitchingSignal(values=phi_vals)
         avg = 0.5 * (phi_vals[:-1] + phi_vals[1:])
         best = ControlSignal(
             values=np.where(avg > 0, PRISM.upper, PRISM.lower), bounds=PRISM
@@ -297,10 +295,7 @@ class TestHpDensity:
         """Two intervals, hand-computed trapezoid-in-phi integral."""
         grid = TimeGrid(t_final=1.0, steps=2)
         phi = SwitchingSignal(
-            values=np.array(
-                [[1.0, 0.0, 0.0], [3.0, 0.0, 0.0], [5.0, 0.0, 0.0]]
-            ),
-            filtered=False,
+            values=np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
         )
         u = ControlSignal(
             values=np.array([[4.0, 3.0, 3.0], [6.0, 3.0, 3.0]]), bounds=PRISM
@@ -314,7 +309,7 @@ class TestPmpResidual:
     def test_synthesized_control_has_zero_residual(self):
         rng = np.random.default_rng(4)
         phi_vals = rng.standard_normal((11, 3))
-        phi = SwitchingSignal(values=phi_vals, filtered=False)
+        phi = SwitchingSignal(values=phi_vals)
         values = np.where(phi_vals[:-1] > 0, PRISM.upper, PRISM.lower)
         u = ControlSignal(values=values, bounds=PRISM)
         assert pmp_residual(phi, u) == 0.0
@@ -323,14 +318,14 @@ class TestPmpResidual:
         rng = np.random.default_rng(4)
         phi_vals = rng.standard_normal((11, 3))
         phi_vals[np.abs(phi_vals) < 0.1] = 0.5  # keep everything decided
-        phi = SwitchingSignal(values=phi_vals, filtered=False)
+        phi = SwitchingSignal(values=phi_vals)
         values = np.where(phi_vals[:-1] > 0, PRISM.lower, PRISM.upper)
         u = ControlSignal(values=values, bounds=PRISM)
         assert pmp_residual(phi, u) == 1.0
 
     def test_undecided_everywhere_returns_zero(self):
         grid = TimeGrid(t_final=1.0, steps=4)
-        phi = SwitchingSignal(values=np.zeros((5, 3)), filtered=True)
+        phi = SwitchingSignal(values=np.zeros((5, 3)))
         u = constant_control([4.0, 4.0, 4.0], grid, PRISM)
         assert pmp_residual(phi, u) == 0.0
 

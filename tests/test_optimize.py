@@ -155,17 +155,18 @@ class TestBbStep:
 class TestSynthesize:
     def test_all_positive_gives_upper_bound(self):
         grid = TimeGrid(t_final=1.0, steps=5)
-        phi = SwitchingSignal(values=np.ones((6, 3)), filtered=True)
+        phi = SwitchingSignal(values=np.ones((6, 3)))
         prev = constant_control([4.0, 4.0, 4.0], grid, PRISM)
         out = synthesize_bang_bang(phi, PRISM, prev)
         assert_allclose(out.values, np.tile(PRISM.upper, (5, 1)))
 
     def test_zero_phi_keeps_previous(self):
         grid = TimeGrid(t_final=1.0, steps=5)
-        phi = SwitchingSignal(values=np.zeros((6, 3)), filtered=True)
         prev = constant_control([4.0, 5.0, 3.5], grid, PRISM)
-        out = synthesize_bang_bang(phi, PRISM, prev)
-        assert_allclose(out.values, prev.values)
+        for zero in (0.0, -0.0):  # -0.0 is an exact zero as well
+            phi = SwitchingSignal(values=np.full((6, 3), zero))
+            out = synthesize_bang_bang(phi, PRISM, prev)
+            assert_allclose(out.values, prev.values)
 
     def test_single_sign_change_single_switch(self):
         """phi_x decreasing through zero mid-grid: one switch, M then m."""
@@ -175,7 +176,7 @@ class TestSynthesize:
         phi_vals[:, 0] = 0.26 - nodes  # positive until t=0.26, negative after
         phi_vals[:, 1] = 1.0
         phi_vals[:, 2] = -1.0
-        phi = SwitchingSignal(values=phi_vals, filtered=True)
+        phi = SwitchingSignal(values=phi_vals)
         prev = constant_control([4.0, 4.0, 4.0], grid, PRISM)
         out = synthesize_bang_bang(phi, PRISM, prev)
         x = out.values[:, 0]
