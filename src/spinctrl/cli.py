@@ -1,8 +1,8 @@
 """Command-line interface: config loading, subcommands, exit codes.
 
 Exit status: 0 success; 1 configuration or usage error; 2 numerical abort
-(state amplitudes overflowed); 3 an optimizer hit its iteration cap and
---strict was given (optimize, sweep-gamma, yield-loss, grid-study).
+(a state norm grew or a costate overflowed); 3 an optimizer hit its iteration
+cap and --strict was given (optimize, sweep-gamma, yield-loss, grid-study).
 Configs are single JSON documents; --override patches dotted keys on top.
 Results land under --out, the SPINCTRL_OUT environment variable, or
 ./results, in that order.  Each run subcommand only computes its files and
@@ -164,7 +164,7 @@ def cmd_simulate(config, args):
     config, problem, fields, forward, cost = simulate(config)
     nodes = problem.grid.nodes
     norms = np.einsum("ksl,ksl->k", forward.states.conj(), forward.states).real
-    norms /= forward.count  # mean over the ensemble; the law is per state
+    norms /= forward.states.shape[2]  # mean over the ensemble; the law is per state
     files = {
         "report.json": {"cost": float(cost)},
         "field.csv": (
@@ -260,10 +260,9 @@ def _read_run(run_dir):
         values = np.array([[float(c) for c in row[1:4]] for row in reader])
     with open(report_path) as fh:
         report = json.load(fh)
-    cost = report.get("final_cost", report.get("cost"))
-    if cost is None:
-        raise ConfigError(f"{report_path} has no cost entry")
-    return values, float(cost)
+    if "final_cost" not in report:
+        raise ConfigError(f"{report_path} has no final_cost entry")
+    return values, float(report["final_cost"])
 
 
 def cmd_compare(args):

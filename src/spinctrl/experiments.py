@@ -28,6 +28,7 @@ starting point.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import numbers
@@ -161,9 +162,8 @@ class ExperimentConfig:
     filter_enabled: bool = True
     gamma: float = 1.0
     v0: tuple | str = (3.0, 3.0, 3.0)  # uT vector or "matched"
-    u0_kind: str = "constant"  # constant | explicit
     u0_vector: tuple = (3.0, 3.0, 3.0)
-    u0_values: tuple | None = None  # (steps, 3) rows, explicit kind only
+    u0_values: tuple | None = None  # (steps, 3) rows; replaces u0_vector if set
     method: str = "ipmp"  # gpm | ipmp
     gpm: GpmSettings = field(default_factory=GpmSettings)
     ipmp: IpmpSettings = field(default_factory=IpmpSettings)
@@ -305,10 +305,9 @@ SCHEMA = (
      "true: first-order filter; false: v = u"),
     ("filter.gamma", "gamma", _POSITIVE, "filter rate, 1/us"),
     ("filter.v0", "v0", _v0, 'initial field, uT 3-vector, or "matched"'),
-    ("u0.kind", "u0_kind", _choice("constant", "explicit"), "constant | explicit"),
     ("u0.vector", "u0_vector", _vector3, "constant starting control, uT"),
     ("u0.values", "u0_values", _optional(_rows),
-     "explicit steps x 3 control table, uT"),
+     "explicit steps x 3 starting control, uT; replaces u0.vector"),
     ("optimizer.method", "method", _choice("gpm", "ipmp"),
      "gpm | ipmp  (shorthand: optimizer=ipmp)"),
     ("optimizer.gpm.max_iters", "gpm.max_iters", _INTEGER, "iteration cap"),
@@ -370,8 +369,6 @@ def config_from_dict(data):
         raise ConfigError(f"config key hyperfine must be a {p}x3 array of mT rows")
     if config.u0_values is not None and len(config.u0_values) != steps:
         raise ConfigError(f"config key u0.values must be a {steps}x3 array")
-    if config.u0_kind == "explicit" and config.u0_values is None:
-        raise ConfigError("config key u0.values required when u0.kind=explicit")
     if any(lo > hi for lo, hi in zip(config.prism_lower, config.prism_upper)):
         raise ConfigError("config key prism.lower exceeds prism.upper")
     largest = max(p, config.p_max)
@@ -423,19 +420,17 @@ def build_problem(config: ExperimentConfig):
 
 
 def initial_control(config: ExperimentConfig, problem: ControlProblem):
-    """The configured starting control.
+    """The configured starting control: u0.values when set, else the
+    constant u0.vector.
 
     A start outside the prism is a ConfigError naming its key.  It is
     checked here, not in config_from_dict, because configs whose start is
     never used (grid-study's) carry the default u0.vector on any prism.
     """
-    explicit = config.u0_kind == "explicit"
+    explicit = config.u0_values is not None
     try:
         if explicit:
-            return ControlSignal(
-                values=np.asarray(config.u0_values, dtype=float),
-                bounds=problem.prism,
-            )
+            return ControlSignal(values=config.u0_values, bounds=problem.prism)
         return constant_control(config.u0_vector, problem.grid, problem.prism)
     except ValueError as exc:
         key = "u0.values" if explicit else "u0.vector"
@@ -565,7 +560,7 @@ def yield_loss_table(config: ExperimentConfig, starts=YIELD_LOSS_STARTS):
     """
     rows = []
     for p in range(1, config.p_max + 1):
-        base = replace(config, p=p, hyperfine=None, u0_kind="constant")
+        base = replace(config, p=p, hyperfine=None, u0_values=None)
         for start in starts:
             label = "[" + ",".join(f"{c:g}" for c in start) + "]"
             start = tuple(float(c) for c in start)
@@ -687,22 +682,13 @@ def run_id(config: ExperimentConfig, name):
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _csv_cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))  # shortest round-trip digits
-    return str(value)
-
-
 def write_csv(path, header, rows):
-    """CSV with repr-formatted floats (bit-faithful round trips)."""
+    """CSV from the standard writer: floats keep their shortest round-trip
+    digits (bit-faithful), and a field holding a comma is quoted."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(c) for c in row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_run(out, name, config, files):

@@ -164,16 +164,14 @@ def build_model(p=1, constants=None, hyperfine=None):
 class TripletBasis:
     """The 3 * 2**p triplet-born initial states, columns of `states`."""
 
-    count: int
-    states: np.ndarray  # (dim, count) complex, orthonormal columns
+    states: np.ndarray  # (dim, 3 * 2**p) complex, orthonormal columns
 
 
 def triplet_states(p):
     """Triplet-born basis: block order T0, T+, T- (see module docstring)."""
     dim = 2 ** (p + 2)
     q = 2 ** p
-    count = 3 * q
-    states = np.zeros((dim, count), dtype=complex)
+    states = np.zeros((dim, 3 * q), dtype=complex)
     half = 1.0 / np.sqrt(2.0)
     for offset in range(q):
         # T0: symmetric combination of the two mixed electron configurations
@@ -184,4 +182,4 @@ def triplet_states(p):
         states[offset, q + offset] = 1.0
         # T-: both electrons in the second configuration
         states[3 * q + offset, 2 * q + offset] = 1.0
-    return TripletBasis(count=count, states=states)
+    return TripletBasis(states=states)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -165,6 +166,9 @@ class TestValidate:
         key = "optimizer.ipmp.cycle_window"
         assert main(["validate", "--override", f"{key}=8"]) == 1
         assert key in capsys.readouterr().err
+        # u0.values alone selects an explicit start; there is no kind key
+        assert main(["validate", "--override", "u0.kind=explicit"]) == 1
+        assert "unknown config key: u0.kind" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "override",
@@ -245,6 +249,14 @@ class TestOptimizeCommand:
         assert code == 2
         assert "numerical abort" in capsys.readouterr().err
 
+    def test_unstable_grid_exits_2(self, tmp_path, capsys):
+        # 7 steps are too few for RK4 at p = 2: the state norms grow, which
+        # the dynamics never do, though no amplitude nears OVERFLOW_LIMIT
+        args = ["optimize", "--out", str(tmp_path / "res")]
+        assert main(args + ["--override", "p=2", "--override", "steps=7"]) == 2
+        assert "numerical abort" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "res")
+
     def test_out_env_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SPINCTRL_OUT", str(tmp_path / "envout"))
         path = _write_config(tmp_path, {"steps": 50})
@@ -309,6 +321,16 @@ class TestSimulateCommand:
         ]
         assert_array_equal(table, np.array(expected))
 
+    def test_explicit_values_are_the_start(self, tmp_path, capsys):
+        def cost(patch):
+            args = ["simulate", "--out", str(tmp_path), "--override", "steps=20"]
+            args += ["--override", patch]
+            assert main(args) == 0
+            return capsys.readouterr().out.split(" run=")[0]
+
+        rows = json.dumps([[6.0, 6.0, 6.0]] * 20)
+        assert cost(f"u0.values={rows}") == cost("u0.vector=[6,6,6]")
+
 
 class TestSweepCommand:
     def test_single_gamma_sweep(self, tmp_path, capsys):
@@ -366,7 +388,10 @@ class TestYieldLossCommand:
         out = capsys.readouterr().out
         assert "p=1 u0=[3,3,3]: loss% in [" in out
         run_dir = out.rsplit("run=", 1)[1].strip()
-        assert os.path.exists(os.path.join(run_dir, "yield_loss.csv"))
+        with open(os.path.join(run_dir, "yield_loss.csv"), newline="") as fh:
+            table = list(csv.reader(fh))
+        assert {len(row) for row in table} == {6}
+        assert [row[1] for row in table[1:]] == ["[3,3,3]", "[6,6,6]", "[6,6,3]"]
         with open(os.path.join(run_dir, "summary.json")) as fh:
             summary = json.load(fh)
         assert len(summary) == 3  # three starting controls at p = 1

@@ -312,6 +312,33 @@ class TestIntegrateForward:
         with pytest.raises(IntegrationOverflow):
             integrate_forward(model, fields, basis, grid)
 
+    def test_coarse_grid_aborts(self):
+        """Four steps make RK4 unstable at p = 1 for a field inside the
+        prism: the largest amplitude stays near 13, far under
+        OVERFLOW_LIMIT, but the norms grow, which the dynamics never do."""
+        model = build_model(p=1)
+        grid = make_grid(4)
+        u = constant_control([3.0, 3.0, 3.0], grid, PRISM)
+        fields = filter_field(u, FilterConfig(), grid)
+        with pytest.raises(IntegrationOverflow, match="at t=0.125000 us"):
+            integrate_forward(model, fields, triplet_states(1), grid)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_guard_passes_stable_grids(self, p):
+        """12 steps are stable at p = 1..5 (at p = 5, 11 are not): the
+        norm guard must not fire for any rate pair or filter mode."""
+        basis = triplet_states(p)
+        grid = make_grid(12)
+        for k_s, k_t in ((10.0, 10.0), (0.0, 0.0), (10.0, 0.0), (3.0, 7.0)):
+            model = build_model(
+                p=p, constants=PhysicalConstants(k_singlet=k_s, k_triplet=k_t)
+            )
+            for vector in ([3.0, 3.0, 3.0], [6.0, 6.0, 6.0]):
+                u = constant_control(vector, grid, PRISM)
+                for cfg in (FilterConfig(), FilterConfig(enabled=False)):
+                    fields = filter_field(u, cfg, grid)
+                    integrate_forward(model, fields, basis, grid)
+
 
 class TestIntegrateAdjoint:
     def setup_method(self):
@@ -335,9 +362,7 @@ class TestIntegrateAdjoint:
         assert np.max(np.abs(adjoint.states[-1])) == 0.0
 
     def test_zero_forward_gives_zero_adjoint(self):
-        silent = type(self.forward)(
-            count=self.forward.count, states=np.zeros_like(self.forward.states)
-        )
+        silent = type(self.forward)(states=np.zeros_like(self.forward.states))
         adjoint = integrate_adjoint(self.model, self.fields, silent, self.grid)
         assert np.max(np.abs(adjoint.states)) == 0.0
 

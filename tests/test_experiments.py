@@ -136,10 +136,8 @@ class TestConfigDocument:
 
     def test_explicit_u0_round_trip(self):
         rows = [[3.0 + 0.1 * k, 4.0, 5.0] for k in range(10)]
-        cfg = config_from_dict(
-            {"steps": 10, "u0": {"kind": "explicit", "values": rows}}
-        )
-        assert cfg.u0_kind == "explicit"
+        cfg = config_from_dict({"steps": 10, "u0": {"values": rows}})
+        assert cfg.u0_values == tuple(map(tuple, rows))
         # document-level fixed point (hyperfine expands to explicit rows)
         assert config_from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 
@@ -171,15 +169,9 @@ class TestConfigDocument:
         with pytest.raises(ConfigError, match="matched"):
             config_from_dict({"filter": {"v0": "auto"}})
 
-    def test_explicit_kind_requires_values(self):
-        with pytest.raises(ConfigError, match=r"u0\.values required"):
-            config_from_dict({"u0": {"kind": "explicit"}})
-
     def test_u0_values_shape_checked(self):
         with pytest.raises(ConfigError, match=r"u0\.values"):
-            config_from_dict(
-                {"steps": 4, "u0": {"kind": "explicit", "values": [[3.0, 3.0, 3.0]]}}
-            )
+            config_from_dict({"steps": 4, "u0": {"values": [[3.0, 3.0, 3.0]]}})
 
     def test_hyperfine_shape_checked(self):
         with pytest.raises(ConfigError, match="hyperfine"):
@@ -243,18 +235,13 @@ def test_oversized_config_rejected_before_building(kwargs, key):
         build_problem(ExperimentConfig(**kwargs))
 
 
-def test_initial_control_rejects_grid_kind():
-    with pytest.raises(ConfigError, match="config key u0.kind "):
-        build_problem(ExperimentConfig(u0_kind="grid"))
-
-
 def test_start_outside_prism_names_its_key():
     signed = dict(prism_lower=(3.0, 3.0, -1.0), prism_upper=(6.0, 6.0, 2.0))
     constant = ExperimentConfig(steps=4, **signed)  # default start [3,3,3]
     with pytest.raises(ConfigError, match="config key u0.vector: "):
         initial_control(constant, build_problem(constant))
     rows = ((3.0, 3.0, 0.0),) * 3 + ((3.0, 3.0, 2.5),)
-    explicit = replace(constant, u0_kind="explicit", u0_values=rows)
+    explicit = replace(constant, u0_values=rows)
     with pytest.raises(ConfigError, match="config key u0.values: "):
         initial_control(explicit, build_problem(explicit))
 

@@ -182,7 +182,7 @@ class TestTripletStates:
         keep it.
         """
         basis = triplet_states(1)
-        assert basis.count == 6
+        assert basis.states.shape == (8, 6)
         first = basis.states[:, 0]
         expected = np.zeros(8, dtype=complex)
         expected[2] = expected[4] = 1.0 / np.sqrt(2.0)
@@ -192,13 +192,13 @@ class TestTripletStates:
     def test_orthonormal(self, p):
         basis = triplet_states(p)
         gram = basis.states.conj().T @ basis.states
-        assert_allclose(gram, np.eye(basis.count), atol=TOL)
+        assert_allclose(gram, np.eye(basis.states.shape[1]), atol=TOL)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_unit_norms(self, p):
         basis = triplet_states(p)
         norms = np.linalg.norm(basis.states, axis=0)
-        assert_allclose(norms, np.ones(basis.count), atol=TOL)
+        assert_allclose(norms, np.ones(basis.states.shape[1]), atol=TOL)
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_triplet_born(self, p):

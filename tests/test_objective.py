@@ -53,7 +53,7 @@ class TestSingletYield:
     def test_zero_ensemble(self):
         model = build_model(p=1)
         grid = TimeGrid(t_final=0.5, steps=10)
-        forward = StateEnsemble(count=6, states=np.zeros((11, 8, 6), complex))
+        forward = StateEnsemble(states=np.zeros((11, 8, 6), complex))
         assert singlet_yield(forward, model, grid) == 0.0
 
     def test_constant_singlet_state_five_twelfths(self):
@@ -68,7 +68,7 @@ class TestSingletYield:
         singlet[2] = 1.0 / np.sqrt(2.0)
         singlet[4] = -1.0 / np.sqrt(2.0)
         states = np.tile(singlet[None, :, None], (41, 1, 1))
-        forward = StateEnsemble(count=1, states=states)
+        forward = StateEnsemble(states=states)
         assert singlet_yield(forward, model, grid) == pytest.approx(
             5.0 / 12.0, rel=1e-12
         )
@@ -116,7 +116,7 @@ class TestSingletYield:
         rng = np.random.default_rng(13)
         for p in (1, 2):
             problem = make_problem(p=p, steps=100)
-            cap = 10.0 * 0.5 * problem.basis.count / (3.0 * 2 ** (p + 1))
+            cap = 10.0 * 0.5 * problem.basis.states.shape[1] / (3.0 * 2 ** (p + 1))
             for _ in range(2):
                 u = ControlSignal(
                     values=rng.uniform(3.0, 6.0, (100, 3)), bounds=PRISM
@@ -130,9 +130,7 @@ class TestSwitchingFunction:
         problem = make_problem(steps=50)
         u = constant_control([4.0, 4.0, 4.0], problem.grid, PRISM)
         fields, forward, _ = problem.evaluate(u)
-        silent = StateEnsemble(
-            count=forward.count, states=np.zeros_like(forward.states)
-        )
+        silent = StateEnsemble(states=np.zeros_like(forward.states))
         phi = switching_function(
             forward, silent, problem.assembly, problem.filter_cfg, problem.grid
         )
@@ -254,8 +252,8 @@ class TestBlockedContractions:
         model = build_model(p=4)
         rng = np.random.default_rng(2)
         shape = (201, model.dim, 48)
-        forward = StateEnsemble(count=48, states=rng.standard_normal(shape) + 0j)
-        adjoint = StateEnsemble(count=48, states=1j * rng.standard_normal(shape))
+        forward = StateEnsemble(states=rng.standard_normal(shape) + 0j)
+        adjoint = StateEnsemble(states=1j * rng.standard_normal(shape))
         tracemalloc.start()
         try:
             gradient_integrand(forward, adjoint, model)
