@@ -86,15 +86,6 @@ def _out_dir(args):
     return args.out or os.environ.get("SPINCTRL_OUT") or "results"
 
 
-def _configure_logging(verbosity):
-    level = logging.WARNING
-    if verbosity >= 2:
-        level = logging.DEBUG
-    elif verbosity == 1:
-        level = logging.INFO
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(message)s")
-
-
 # argparse options of each subcommand flag, keyed by the flag.
 FLAGS = {
     "--config": dict(help="JSON config file (omit for defaults)"),
@@ -129,9 +120,8 @@ def build_parser():
     parser.add_argument(
         "-v",
         "--verbose",
-        action="count",
-        default=0,
-        help="per-iteration logs on stderr (-vv for debug)",
+        action="store_true",
+        help="per-iteration logs on stderr",
     )
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
     for name, handler, text, flags in COMMANDS:
@@ -317,7 +307,8 @@ def main(argv=None):
     if args.command is None:
         parser.print_help()
         return 1
-    _configure_logging(args.verbose)
+    level = logging.INFO if args.verbose else logging.WARNING
+    logging.basicConfig(stream=sys.stderr, level=level, format="%(message)s")
     try:
         return args.handler(args)
     except IntegrationOverflow as exc:

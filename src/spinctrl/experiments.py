@@ -2,9 +2,10 @@
 
 Each study is a plain function over an ExperimentConfig: single optimization
 runs, gamma sweeps against the no-filter baseline, yield-loss tables over
-initial controls and proton counts, and the 54-start uniqueness study on the
-sign-changing prism.  Results are written to a deterministic directory
-layout:
+initial controls and proton counts on the built-in hyperfine tables, and the
+54-start uniqueness study on the sign-changing prism.  Studies solve through
+run_single or run_optimizer and propagate through ControlProblem.evaluate.
+Results are written to a deterministic directory layout:
 
     <out>/<experiment-name>/<run-id>/
         config.json        resolved configuration (all defaults expanded)
@@ -21,9 +22,8 @@ one writer, and the CLI makes its one call; it moves each finished file
 into place atomically.  The studies only compute and return.
 
 Configs carry fields in uT (controls, prisms, filter state); hyperfine rows
-are mT.  A filter v0 may be the string "matched", which resolves to the
-value at t = 0 of the no-filter optimal field computed from the same
-starting point.
+are mT.  A filter v0 may be the string "matched": the value at t = 0 of the
+optimal field of run_single on the no-filter twin, from the same start.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .dynamics import (
     Prism,
     TimeGrid,
     constant_control,
-    filter_field,
-    integrate_forward,
+    filter_field,  # noqa: F401  imported so that tracers can rebind it here
+    integrate_forward,  # noqa: F401  likewise
 )
 from .model import (
     GYRO_DEFAULT,
@@ -55,7 +55,7 @@ from .model import (
     default_hyperfine,
     triplet_states,
 )
-from .objective import singlet_yield
+from .objective import singlet_yield  # noqa: F401  likewise
 from .optimize import (
     STATUS_MAX_ITERS,
     STATUS_OSCILLATING,
@@ -204,7 +204,7 @@ def _plain(value):
 # naming the key.
 
 
-def _number(kind=float, check=None, need=""):
+def _number(kind, check, need):
     def parse(value, key):
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigError(f"config key {key} must be a number")
@@ -213,17 +213,15 @@ def _number(kind=float, check=None, need=""):
         if kind is int and value != int(value):
             raise ConfigError(f"config key {key} must be an integer")
         value = kind(value)
-        if check is not None and not check(value):
+        if not check(value):
             raise ConfigError(f"config key {key} must be {need}")
         return value
 
     return parse
 
 
-_REAL = _number()
 _POSITIVE = _number(float, lambda x: x > 0, "positive")
 _NON_NEGATIVE = _number(float, lambda x: x >= 0, "non-negative")
-_INTEGER = _number(int)
 _COUNT = _number(int, lambda n: n > 0, "positive")
 _PROTONS = _number(int, lambda n: 1 <= n <= MAX_PROTONS, f"in 1..{MAX_PROTONS}")
 
@@ -310,10 +308,10 @@ SCHEMA = (
      "explicit steps x 3 starting control, uT; replaces u0.vector"),
     ("optimizer.method", "method", _choice("gpm", "ipmp"),
      "gpm | ipmp  (shorthand: optimizer=ipmp)"),
-    ("optimizer.gpm.max_iters", "gpm.max_iters", _INTEGER, "iteration cap"),
-    ("optimizer.gpm.step_scale", "gpm.step_scale", _REAL,
+    ("optimizer.gpm.max_iters", "gpm.max_iters", _COUNT, "iteration cap"),
+    ("optimizer.gpm.step_scale", "gpm.step_scale", _POSITIVE,
      "multiplier on the Barzilai-Borwein step"),
-    ("optimizer.ipmp.max_iters", "ipmp.max_iters", _INTEGER, "iteration cap"),
+    ("optimizer.ipmp.max_iters", "ipmp.max_iters", _COUNT, "iteration cap"),
     ("sweep.gammas", "gammas", _gammas,
      "gamma values for sweep-gamma/yield-loss, 1/us"),
     ("sweep.p_max", "p_max", _PROTONS, "largest proton count in yield-loss"),
@@ -357,12 +355,11 @@ def config_from_dict(data):
     for (key, attr, parse, _), value in _leaves(data):
         owner, _, name = attr.rpartition(".")
         (settings[owner] if owner else values)[name] = parse(value, key)
-    for owner, kind in (("gpm", GpmSettings), ("ipmp", IpmpSettings)):
-        try:
-            values[owner] = kind(**settings[owner])
-        except ValueError as exc:
-            raise ConfigError(f"config key optimizer.{owner} invalid: {exc}") from None
-    config = ExperimentConfig(**values)
+    config = ExperimentConfig(
+        **values,
+        gpm=GpmSettings(**settings["gpm"]),
+        ipmp=IpmpSettings(**settings["ipmp"]),
+    )
 
     p, steps = config.p, config.steps
     if config.hyperfine is not None and len(config.hyperfine) != p:
@@ -454,8 +451,7 @@ def resolve_matched_v0(config: ExperimentConfig):
     if not isinstance(config.v0, str):
         return config, None
     nofilter = replace(config, filter_enabled=False, v0=(0.0, 0.0, 0.0))
-    problem = build_problem(nofilter)
-    report = run_optimizer(problem, initial_control(nofilter, problem), nofilter)
+    _, report = run_single(nofilter)
     v0 = tuple(float(c) for c in report.final_control.values[0])
     return replace(config, v0=v0), report
 
@@ -475,10 +471,7 @@ def simulate(config: ExperimentConfig):
     """
     config, _ = resolve_matched_v0(config)
     problem = build_problem(config)
-    u0 = initial_control(config, problem)
-    fields = filter_field(u0, problem.filter_cfg, problem.grid)
-    forward = integrate_forward(problem.assembly, fields, problem.basis, problem.grid)
-    cost = singlet_yield(forward, problem.assembly, problem.grid)
+    fields, forward, cost = problem.evaluate(initial_control(config, problem))
     return config, problem, fields, forward, cost
 
 
@@ -556,8 +549,14 @@ def yield_loss_table(config: ExperimentConfig, starts=YIELD_LOSS_STARTS):
     own optimization run in no-filter mode (direct-control switching
     function), never a large-gamma stand-in.  The filter starts at v0 = u0.
     Returns (rows, summary) where summary maps (p, label) -> (min, max)
-    loss percent.
+    loss percent.  Each p runs on its built-in hyperfine table, so any
+    other table is a ConfigError (config.json records the built-in one, so
+    a rerun from it passes); so is a zero no-filter yield.
     """
+    table = config.hyperfine
+    if table is not None and not np.array_equal(table, default_hyperfine(config.p)):
+        why = "yield-loss runs p = 1..sweep.p_max on the built-in tables"
+        raise ConfigError(f"config key hyperfine must be left unset: {why}")
     rows = []
     for p in range(1, config.p_max + 1):
         base = replace(config, p=p, hyperfine=None, u0_values=None)
@@ -565,6 +564,9 @@ def yield_loss_table(config: ExperimentConfig, starts=YIELD_LOSS_STARTS):
             label = "[" + ",".join(f"{c:g}" for c in start) + "]"
             start = tuple(float(c) for c in start)
             *filtered, ref = gamma_sweep(replace(base, u0_vector=start, v0=start))
+            if ref.cost == 0.0:
+                why = "the no-filter optimal yield is 0, so the loss is undefined"
+                raise ConfigError(f"yield-loss at p={p}, u0={label}: {why}")
             rows.extend(
                 YieldLossRow(
                     p=p,

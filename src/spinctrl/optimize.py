@@ -19,9 +19,10 @@ signal phi and synthesizes the next control
 
 keeping the previous value on exact zeros; phi is sampled at each
 interval's left node.  A fixed point (synthesis returns its input) is an
-exact PMP point.  The map can also fall into a short cycle (typically
-period two at weak filtering), which is detected by comparing against the
-last IPMP_CYCLE_WINDOW iterates; the best-cost cycle member is reported.
+exact PMP point.  The sweep map is deterministic and takes its values from
+the bounds and u0, a finite set, so it reaches a fixed point or a cycle
+(typically of period two at weak filtering).  IPMP stops on the first
+candidate equal to an earlier iterate and reports the best-cost member.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ STATUS_OSCILLATING = "Oscillating"
 
 GPM_EPS_COST = 1.0e-5  # GPM stops when the relative cost change and
 GPM_EPS_CTRL = 1.0e-5  # the relative control change both fall under these
-IPMP_CYCLE_WINDOW = 8  # recent iterates each IPMP candidate is checked against
 
 
 def control_inner(a, b, h):
@@ -256,6 +256,9 @@ def ipmp_optimize(
             cycle_members=members,
         )
 
+    # the control of each iterate -> its index; + 0.0 turns -0.0 into 0.0,
+    # so that controls which compare equal share a key
+    visited = {(u0.values + 0.0).tobytes(): 0}
     for n in range(settings.max_iters + 1):
         fields, forward, cost = problem.evaluate(iterates[n])
         costs.append(cost)
@@ -266,19 +269,13 @@ def ipmp_optimize(
         candidate = synthesize_bang_bang(phi, problem.prism, iterates[n])
         flips = int(np.count_nonzero(candidate.values != iterates[n].values))
         logger.info("ipmp iter %d cost=%.10f flips=%d", n + 1, cost, flips)
-        if flips == 0:
-            costs.append(cost)
-            return report(STATUS_CONVERGED, n)
-        cycle_start = None
-        oldest = max(0, n + 1 - IPMP_CYCLE_WINDOW)
-        for j in range(n - 1, oldest - 1, -1):
-            if np.array_equal(candidate.values, iterates[j].values):
-                cycle_start = j
-                break
-        if cycle_start is not None:
-            costs.append(costs[cycle_start])
-            members = tuple(iterates[cycle_start : n + 1])
-            best = cycle_start + int(np.argmax(costs[cycle_start : n + 1]))
+        j = visited.setdefault((candidate.values + 0.0).tobytes(), n + 1)
+        if j <= n:  # the candidate is iterate j, so the map repeats from j on
+            costs.append(costs[j])
+            if j == n:
+                return report(STATUS_CONVERGED, n)
+            members = tuple(iterates[j : n + 1])
+            best = j + int(np.argmax(costs[j : n + 1]))
             logger.info(
                 "ipmp cycle of period %d detected; keeping member with cost %.10f",
                 len(members), costs[best],

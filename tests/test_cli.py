@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from spinctrl import experiments
 from spinctrl.cli import apply_override, build_parser, load_config, main
 from spinctrl.experiments import (
     ConfigError,
@@ -185,6 +186,19 @@ class TestValidate:
     def test_non_finite_or_fractional_value_exits_1(self, override, capsys):
         assert main(["validate", "--override", override]) == 1
         assert override.partition("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "optimizer.gpm.max_iters=0",
+            "optimizer.gpm.step_scale=0",
+            "optimizer.ipmp.max_iters=-3",
+        ],
+    )
+    def test_non_positive_optimizer_setting_exits_1(self, override, capsys):
+        assert main(["validate", "--override", override]) == 1
+        key = override.partition("=")[0]
+        assert f"config key {key} must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", ["p=9", "sweep.p_max=12", "steps=1e9"])
     def test_oversized_problem_exits_1(self, override, capsys):
@@ -395,6 +409,37 @@ class TestYieldLossCommand:
         with open(os.path.join(run_dir, "summary.json")) as fh:
             summary = json.load(fh)
         assert len(summary) == 3  # three starting controls at p = 1
+        # config.json records the built-in hyperfine table, and a rerun
+        # from it lands in the same run directory
+        rerun = ["--config", os.path.join(run_dir, "config.json")]
+        assert main(["yield-loss", *rerun, "--out", str(tmp_path / "res")]) == 0
+        assert capsys.readouterr().out.rsplit("run=", 1)[1].strip() == run_dir
+
+    def test_hyperfine_table_rejected_before_solving(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Every p runs on its built-in table, so a configured one would be
+        recorded in config.json but not used."""
+
+        def no_solve(*args):
+            raise AssertionError("yield-loss solved before rejecting hyperfine")
+
+        monkeypatch.setattr(experiments, "run_optimizer", no_solve)
+        args = ["yield-loss", "--out", str(tmp_path / "res")]
+        assert main(args + ["--override", "hyperfine=[[0,0,0]]"]) == 1
+        assert "config key hyperfine" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
+    def test_zero_nofilter_yield_exits_1(self, tmp_path, capsys):
+        """No singlet recombination gives J = 0, the loss's denominator."""
+        args = ["yield-loss", "--out", str(tmp_path / "res")]
+        for patch in (
+            "constants.k_singlet=0", "sweep.p_max=1", "steps=20", "sweep.gammas=[1]"
+        ):
+            args += ["--override", patch]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "p=1, u0=[3,3,3]" in err and "no-filter optimal yield is 0" in err
 
 
 @pytest.mark.parametrize(

@@ -59,6 +59,23 @@ def cycling_problem():
     return problem, constant_control([3.0, 3.0, 0.0], problem.grid, PRISM_MIXED)
 
 
+class SignRuleProblem:
+    """Stand-in for ControlProblem for IPMP: `phi_of(values)` gives the
+    switching signal on the interval left nodes, and the cost of a control
+    is the interval where its x component peaks."""
+
+    def __init__(self, prism, phi_of):
+        self.prism = prism
+        self.phi_of = phi_of
+
+    def evaluate(self, control):
+        return control.values, None, float(np.argmax(control.values[:, 0]))
+
+    def gradient(self, fields, forward):
+        phi = self.phi_of(fields)
+        return None, SwitchingSignal(values=np.vstack([phi, phi[-1:]]))
+
+
 # Every exit of both optimizers: case -> (optimizer, settings, status).
 EXITS = {
     "ipmp-converged": (ipmp_optimize, None, STATUS_CONVERGED),
@@ -363,6 +380,38 @@ class TestIpmp:
                 (member.values == PRISM_MIXED.lower)
                 | (member.values == PRISM_MIXED.upper)
             )
+
+    def test_cycle_of_any_length_is_detected(self):
+        """A sign rule that moves a pulse one interval on per sweep cycles
+        with period 9; the candidate is checked against every earlier
+        iterate, however far back."""
+        steps = 9
+
+        def phi_of(values):
+            phi = -np.ones((steps, 3))
+            phi[(np.argmax(values[:, 0]) + 1) % steps] = 1.0
+            return phi
+
+        start = np.full((steps, 3), 3.0)
+        start[0] = 6.0
+        u0 = ControlSignal(values=start, bounds=PRISM)
+        report = ipmp_optimize(SignRuleProblem(PRISM, phi_of), u0)
+        assert report.status == STATUS_OSCILLATING
+        assert report.iterations == steps
+        peaks = [int(np.argmax(m.values[:, 0])) for m in report.cycle_members]
+        assert peaks == list(range(steps))
+        assert report.final_cost == steps - 1.0
+
+    def test_signed_zero_start_is_the_fixed_point(self):
+        """-0.0 and 0.0 compare equal, so a start holding -0.0 where the
+        fixed point holds 0.0 converges on the first sweep."""
+        prism = Prism(lower=np.zeros(3), upper=np.ones(3))
+        problem = SignRuleProblem(prism, lambda values: -np.ones(values.shape))
+        u0 = ControlSignal(values=np.full((5, 3), -0.0), bounds=prism)
+        report = ipmp_optimize(problem, u0)
+        assert report.status == STATUS_CONVERGED
+        assert report.iterations == 1
+        assert report.final_control is u0
 
     @pytest.mark.parametrize("mixed", [False, True])
     def test_one_evaluate_per_iteration(self, monkeypatch, mixed):
