@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import logging
 import os
@@ -163,13 +164,15 @@ def cmd_simulate(config, args):
         ),
     }
     if args.dump_states:
-        states = forward.states.transpose(0, 2, 1)  # (node, state, component)
-        k, state, component = np.indices(states.shape).reshape(3, -1)
-        z = states.reshape(-1)
-        files["states.csv"] = (
-            ("t", "state", "component", "re", "im"),
-            zip(nodes[k], state, component, z.real, z.imag),
+        # streamed node by node: the dump never copies or indexes the ensemble
+        _, dim, count = forward.states.shape
+        index = list(itertools.product(range(count), range(dim)))
+        rows = (
+            (t, state, component, z.real, z.imag)
+            for t, node in zip(nodes.tolist(), forward.states)
+            for (state, component), z in zip(index, node.T.ravel().tolist())
         )
+        files["states.csv"] = (("t", "state", "component", "re", "im"), rows)
     return config, files, [f"simulate: J={float(cost):.10f}"], False
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import numbers
 import os
@@ -67,7 +68,7 @@ from .optimize import (
     gpm_optimize,
     ipmp_optimize,
 )
-from .spin import MAX_ENSEMBLE_BYTES, MAX_PROTONS
+from .spin import MAX_PROTONS
 
 # Reference parameter block: electromagnetic prisms (uT), gamma sample for
 # sweeps, starting controls for the yield-loss table, and the two grid
@@ -90,14 +91,8 @@ def grid_points(vertex):
     """The 27 raw grid vectors vertex + GRID_SPACING * [1-i, 1-j, 1-k],
     unclipped, index order (i, j, k)."""
     offsets = GRID_SPACING * (1.0 - np.arange(3.0))
-    pts = [
-        np.asarray(vertex, dtype=float)
-        + np.array([offsets[i], offsets[j], offsets[k]])
-        for i in range(3)
-        for j in range(3)
-        for k in range(3)
-    ]
-    return np.array(pts)
+    ijk = np.indices((3, 3, 3)).reshape(3, -1).T  # rows (i, j, k), k fastest
+    return np.asarray(vertex, dtype=float) + offsets[ijk]
 
 
 def grid_initializers(vertex, grid: TimeGrid, prism: Prism):
@@ -335,11 +330,14 @@ def _leaves(data, path=()):
             raise ConfigError(f"unknown config key: {name}")
 
 
+MAX_ENSEMBLE_BYTES = 2 * 1024**3  # caps ensemble_bytes; p = 7 on 200 steps: 1.26 GB
+
+
 def ensemble_bytes(p, steps):
     """Bytes of the forward and adjoint ensembles one run stores: two
-    arrays of (steps+1) nodes x 2^(p+2) components x 3*2^p states.  The
-    contractions over them run in bounded blocks, so this is the run's
-    peak, give or take one block."""
+    arrays of (steps+1) nodes x 2^(p+2) components x 3*2^p states.  No
+    third is held and the contractions run in bounded blocks, so this is
+    the run's peak, give or take one block."""
     return 2 * (steps + 1) * 2 ** (p + 2) * 3 * 2**p * 16
 
 
@@ -626,19 +624,13 @@ def uniqueness_study(config: ExperimentConfig, vertices=STUDY_VERTICES):
 
     h = problem.grid.h
     n_family = len(reports) // len(vertices)
-    max_ctrl = 0.0
-    max_cost = 0.0
-    for a in range(len(reports)):
-        for b in range(a + 1, len(reports)):
-            cmp = compare_controls(
-                reports[a].final_control,
-                reports[b].final_control,
-                reports[a].final_cost,
-                reports[b].final_cost,
-                h,
-            )
-            max_ctrl = max(max_ctrl, cmp.rel_ctrl)
-            max_cost = max(max_cost, cmp.rel_cost)
+    max_ctrl = max_cost = 0.0
+    for a, b in itertools.combinations(reports, 2):
+        cmp = compare_controls(
+            a.final_control, b.final_control, a.final_cost, b.final_cost, h
+        )
+        max_ctrl = max(max_ctrl, cmp.rel_ctrl)
+        max_cost = max(max_cost, cmp.rel_cost)
     family_split = compare_controls(
         reports[0].final_control,
         reports[n_family].final_control,

@@ -185,7 +185,8 @@ def gpm_optimize(
     status = STATUS_MAX_ITERS
     for n in range(settings.max_iters + 1):
         fields, forward, cost = problem.evaluate(u)
-        _, phi = problem.gradient(fields, forward)
+        # [1], not `_, phi =`: a bound adjoint would outlive the next solve
+        phi = problem.gradient(fields, forward)[1]
         cost_history.append(cost)
         if n >= 1:
             rel_cost = abs(cost - cost_history[-2]) / max(abs(cost), tiny)
@@ -262,7 +263,7 @@ def ipmp_optimize(
     for n in range(settings.max_iters + 1):
         fields, forward, cost = problem.evaluate(iterates[n])
         costs.append(cost)
-        _, phi = problem.gradient(fields, forward)
+        phi = problem.gradient(fields, forward)[1]  # adjoint freed now, as in GPM
         solved.append((fields, phi))
         if n == settings.max_iters:
             return report(STATUS_MAX_ITERS, n)

@@ -33,13 +33,7 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 # Spin-1/2 operators in units of hbar.
 SPIN_HALF = tuple(0.5 * s for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
 
-MAX_PROTONS = 7  # resource guard: n = 2**(p+2) reaches 512 here
-# Cap on the stored forward + adjoint ensembles of one run; the default
-# 200-step grid at p = MAX_PROTONS needs 1.26 GB.  Integrators and
-# objective contractions work in blocks of dynamics.BLOCK_BYTES (one node
-# at least), so the stored states are the run's whole peak, give or take
-# one block.
-MAX_ENSEMBLE_BYTES = 2 * 1024**3
+MAX_PROTONS = 7  # n = 2**(p+2) reaches 512; experiments caps the stored states
 
 
 def kron_chain(ops):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from spinctrl.cli import apply_override, build_parser, load_config, main
 from spinctrl.experiments import (
     ConfigError,
     ExperimentConfig,
+    ensemble_bytes,
     resolve_matched_v0,
     simulate,
+    write_csv,
 )
 
 
@@ -334,6 +337,42 @@ class TestSimulateCommand:
             for c in range(states.shape[1])
         ]
         assert_array_equal(table, np.array(expected))
+
+    def test_dump_states_text_is_the_index_array_text(self, tmp_path, capsys):
+        """The streamed rows print exactly as the rows the dump once built
+        from whole-ensemble index arrays and a transposed copy."""
+        overrides = ["p=2", "steps=20"]
+        args = ["simulate", "--dump-states", "--out", str(tmp_path)]
+        for patch in overrides:
+            args += ["--override", patch]
+        assert main(args) == 0
+        run_dir = capsys.readouterr().out.rsplit("run=", 1)[1].strip()
+        _, problem, _, forward, _ = simulate(load_config(None, overrides))
+        states = forward.states.transpose(0, 2, 1)  # (node, state, component)
+        k, state, component = np.indices(states.shape).reshape(3, -1)
+        z = states.reshape(-1)
+        rows = zip(problem.grid.nodes[k], state, component, z.real, z.imag)
+        reference = tmp_path / "reference.csv"
+        write_csv(reference, ("t", "state", "component", "re", "im"), rows)
+        with open(os.path.join(run_dir, "states.csv"), "rb") as fh:
+            dumped = fh.read()
+        assert dumped.count(b"\n") == 1 + 21 * 12 * 16
+        assert dumped == reference.read_bytes()
+
+    def test_dump_states_peaks_at_the_forward_ensemble(self, tmp_path, capsys):
+        """At p = 3 on 200 steps the dump streams its rows: the command
+        stays near the forward ensemble and the norms' conjugate, well
+        under the ensemble_bytes it is charged (about 2x when the rows
+        came from whole-ensemble index arrays)."""
+        args = ["simulate", "--dump-states", "--override", "p=3"]
+        tracemalloc.start()
+        try:
+            code = main([*args, "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 1.25 * ensemble_bytes(3, 200)
 
     def test_explicit_values_are_the_start(self, tmp_path, capsys):
         def cost(patch):

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from spinctrl import experiments
 from spinctrl.dynamics import ControlSignal, Prism, TimeGrid, constant_control
 from spinctrl.experiments import (
+    GRID_SPACING,
     ConfigError,
     ExperimentConfig,
     SweepRow,
@@ -47,6 +48,19 @@ class TestGridSpec:
         assert_allclose(pts[0], [6.5, 6.5, -0.5])
         assert_allclose(pts[13], [6.0, 6.0, -1.0])
         assert_allclose(pts[26], [5.5, 5.5, -1.5])
+
+    def test_points_are_the_ijk_loop(self):
+        """Every point, bit for bit and in order, as the (i, j, k) loop
+        with k innermost builds it."""
+        vertex = np.array([6.0, 6.0, -1.0])
+        offsets = GRID_SPACING * (1.0 - np.arange(3.0))
+        loop = [
+            vertex + np.array([offsets[i], offsets[j], offsets[k]])
+            for i in range(3)
+            for j in range(3)
+            for k in range(3)
+        ]
+        assert_array_equal(grid_points(tuple(vertex)), np.array(loop))
 
     def test_points_distinct(self):
         pts = grid_points((0.0, 0.0, 0.0))

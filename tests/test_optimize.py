@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from spinctrl.dynamics import (
     TimeGrid,
     constant_control,
 )
+from spinctrl.experiments import ensemble_bytes
 from spinctrl.model import PhysicalConstants, build_model, triplet_states
 from spinctrl.objective import SwitchingSignal, pmp_residual
 from spinctrl.optimize import (
@@ -461,3 +463,23 @@ def test_gpm_and_ipmp_agree(p):
     rel_cost = abs(gpm.final_cost - ipmp.final_cost) / abs(ipmp.final_cost)
     assert disc <= 0.05
     assert rel_cost <= 1.0e-3
+
+
+@pytest.mark.parametrize(
+    "optimizer, settings",
+    [(ipmp_optimize, None), (gpm_optimize, GpmSettings(max_iters=2))],
+    ids=["ipmp", "gpm"],
+)
+def test_run_peaks_at_its_two_ensembles(optimizer, settings):
+    """At p = 4 on 200 steps a run holds its forward and adjoint ensembles
+    (ensemble_bytes) and nothing else of their size: an adjoint kept from
+    the last iterate through the next solve would read about 1.6x."""
+    problem = fig1_problem(p=4)
+    u0 = constant_control([3.0, 3.0, 3.0], problem.grid, PRISM)
+    tracemalloc.start()
+    try:
+        optimizer(problem, u0, settings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * ensemble_bytes(4, 200)
