@@ -2,11 +2,11 @@
 Two routes to the same bang-bang control
 ========================================
 
-The projected-gradient method walks downhill with Barzilai-Borwein steps
-and then projects back into the prism; the maximum-principle iteration
+The projected-gradient method climbs the singlet yield with Barzilai-Borwein
+steps and projects back into the prism; the maximum-principle iteration
 resynthesizes the whole control from the sign of the switching function
 in one sweep.  They discretize the same optimality condition, so on the
-reference single-proton problem they must land on the same minimizer.
+reference single-proton problem they must land on the same maximizer.
 """
 
 from dataclasses import replace

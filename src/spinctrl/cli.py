@@ -46,13 +46,6 @@ CONFIG_KEY_HELP = (
 )
 
 
-def _parse_override_value(text):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text  # bare words are strings, e.g. filter.v0=matched
-
-
 def apply_override(document, assignment):
     """Patch `document` with one dotted key=value string."""
     if "=" not in assignment:
@@ -63,11 +56,16 @@ def apply_override(document, assignment):
         key = "optimizer.method"
     if key not in {row[0] for row in SCHEMA}:
         raise ConfigError(f"unknown config key: {key}")
-    return set_key(document, key, _parse_override_value(text))
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError:
+        value = text  # bare words are strings, e.g. filter.v0=matched
+    return set_key(document, key, value)
 
 
-def load_config(path, overrides=()):
-    """JSON file (or nothing) + overrides -> validated ExperimentConfig."""
+def load_config(path, overrides=(), command=None):
+    """JSON file (or nothing) + overrides -> ExperimentConfig, validated for
+    run `command` (every key read, as by validate, when None)."""
     if path is None:
         document = {}
     else:
@@ -80,11 +78,7 @@ def load_config(path, overrides=()):
             ) from None
     for assignment in overrides:
         document = apply_override(document, assignment)
-    return config_from_dict(document)
-
-
-def _out_dir(args):
-    return args.out or os.environ.get("SPINCTRL_OUT") or "results"
+    return config_from_dict(document, command)
 
 
 # argparse options of each subcommand flag, keyed by the flag.
@@ -140,9 +134,10 @@ def run_command(study):
     capped run under --strict."""
 
     def handler(args):
-        config = load_config(args.config, args.override)
+        config = load_config(args.config, args.override, args.command)
         config, files, lines, capped = study(config, args)
-        run_dir = write_run(_out_dir(args), args.command, config, files)
+        out = args.out or os.environ.get("SPINCTRL_OUT") or "results"
+        run_dir = write_run(out, args.command, config, files)
         lines[-1] += f" run={run_dir}"
         print("\n".join(lines))
         return 3 if capped and args.strict else 0
@@ -153,9 +148,9 @@ def run_command(study):
 @run_command
 def cmd_simulate(config, args):
     config, problem, fields, forward, cost = simulate(config)
-    nodes = problem.grid.nodes
-    norms = np.einsum("ksl,ksl->k", forward.states.conj(), forward.states).real
-    norms /= forward.states.shape[2]  # mean over the ensemble; the law is per state
+    nodes, (_, dim, count) = problem.grid.nodes, forward.states.shape
+    # mean over the ensemble (the law is per state), node by node: no copy
+    norms = [np.einsum("sl,sl->", s.conj(), s).real / count for s in forward.states]
     files = {
         "report.json": {"cost": float(cost)},
         "field.csv": (
@@ -165,7 +160,6 @@ def cmd_simulate(config, args):
     }
     if args.dump_states:
         # streamed node by node: the dump never copies or indexes the ensemble
-        _, dim, count = forward.states.shape
         index = list(itertools.product(range(count), range(dim)))
         rows = (
             (t, state, component, z.real, z.imag)

@@ -8,7 +8,7 @@ run_single or run_optimizer and propagate through ControlProblem.evaluate.
 Results are written to a deterministic directory layout:
 
     <out>/<experiment-name>/<run-id>/
-        config.json        resolved configuration (all defaults expanded)
+        config.json        resolved keys the command reads, defaults expanded
         report.json        optimizer outcome
         cost_history.csv   iteration, cost
         control.csv        t, u_x, u_y, u_z        (uT, interval left nodes)
@@ -16,7 +16,7 @@ Results are written to a deterministic directory layout:
         switching.csv      t, phi_x, phi_y, phi_z  (grid nodes)
 
 plus flat summary tables (sweep.csv, yield_loss.csv) for the sweep studies.
-The run id is a hash of the resolved configuration, so identical configs
+The run id hashes the name and that document, so identical configs
 land in identical directories with bit-identical files.  write_run is the
 one writer, and the CLI makes its one call; it moves each finished file
 into place atomically.  The studies only compute and return.
@@ -36,6 +36,7 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from fnmatch import fnmatchcase
 from functools import reduce
 
 import numpy as np
@@ -165,14 +166,16 @@ class ExperimentConfig:
     gammas: tuple = GAMMA_SWEEP_DEFAULT
     p_max: int = 3
 
-    def to_dict(self):
-        """Nested plain-data form, the on-disk schema."""
+    def to_dict(self, command=None):
+        """Nested plain-data form, the on-disk schema, of the keys `command`
+        reads (every key unless a run command is named)."""
         document = {}
         for key, attr, _, _ in SCHEMA:
             value = reduce(getattr, attr.split("."), self)
             if key == "hyperfine" and value is None:
                 value = default_hyperfine(self.p)
-            set_key(document, key, _plain(value))
+            if reads(command, key):
+                set_key(document, key, _plain(value))
         return document
 
 
@@ -311,6 +314,24 @@ SCHEMA = (
      "gamma values for sweep-gamma/yield-loss, 1/us"),
     ("sweep.p_max", "p_max", _PROTONS, "largest proton count in yield-loss"),
 )
+# The keys each run command does not read, as fnmatch patterns.  A key read
+# under some settings only is read (filter.v0 = "matched" makes simulate read
+# optimizer.* and grid-study u0.*).  config.json, the run id and the state
+# cap cover the keys a command reads; setting another off its default fails.
+UNREAD = {
+    "simulate": ("sweep.*",),
+    "optimize": ("sweep.*",),
+    "sweep-gamma": ("filter.enabled", "filter.gamma", "sweep.p_max"),
+    "yield-loss": ("p", "hyperfine", "u0.*", "filter.*"),
+    "grid-study": ("optimizer.method", "optimizer.gpm.*", "sweep.*"),
+}
+
+
+def reads(command, key):
+    """Whether `command` reads dotted `key`; unlisted names read them all."""
+    return not any(fnmatchcase(key, u) for u in UNREAD.get(command, ()))
+
+
 _ROWS = {tuple(row[0].split(".")): row for row in SCHEMA}
 _SECTIONS = {path[:i] for path in _ROWS for i in range(1, len(path))}
 
@@ -341,11 +362,11 @@ def ensemble_bytes(p, steps):
     return 2 * (steps + 1) * 2 ** (p + 2) * 3 * 2**p * 16
 
 
-def config_from_dict(data):
-    """Validate a nested config document and fill every default.
-
-    Raises ConfigError naming the offending dotted key path.
-    """
+def config_from_dict(data, command=None):
+    """Validate a nested config document for run `command` and fill every
+    default; a ConfigError names the offending dotted key.  Each key that
+    `command` does not read must hold its default (in document form), and
+    the state cap charges each of p and sweep.p_max that it reads."""
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
     values = {}
@@ -366,14 +387,19 @@ def config_from_dict(data):
         raise ConfigError(f"config key u0.values must be a {steps}x3 array")
     if any(lo > hi for lo, hi in zip(config.prism_lower, config.prism_upper)):
         raise ConfigError("config key prism.lower exceeds prism.upper")
-    largest = max(p, config.p_max)
-    need = ensemble_bytes(largest, steps)
-    if need > MAX_ENSEMBLE_BYTES:
-        raise ConfigError(
-            f"config key steps too large: {steps} steps at p={largest} "
-            f"(the larger of p and sweep.p_max) store {need / 2**30:.3g} GiB "
-            f"of states, over the {MAX_ENSEMBLE_BYTES / 2**30:g} GiB cap"
-        )
+    default = dict(_leaves(ExperimentConfig().to_dict()))
+    for row, value in _leaves(config.to_dict()):
+        if not reads(command, row[0]) and value != default[row]:
+            why = "so it must be left at its default"
+            raise ConfigError(f"config key {row[0]} is not read by {command}, {why}")
+    for key, protons in (("p", p), ("sweep.p_max", config.p_max)):
+        need = ensemble_bytes(protons, steps)
+        if reads(command, key) and need > MAX_ENSEMBLE_BYTES:
+            raise ConfigError(
+                f"config key steps too large: {steps} steps at {key}={protons} "
+                f"store {need / 2**30:.3g} GiB of states, over the "
+                f"{MAX_ENSEMBLE_BYTES / 2**30:g} GiB cap"
+            )
     return config
 
 
@@ -384,15 +410,16 @@ def config_from_dict(data):
 def build_problem(config: ExperimentConfig):
     """ControlProblem for a resolved (numeric-v0) config.
 
-    The config passes the same checks as a config document first, so one
-    built in Python is rejected with the same ConfigError as on the CLI.
+    The config passes the checks of a single run's document first (the
+    state cap at p alone), so one built in Python is rejected with the
+    same ConfigError as on the CLI.
     """
     if isinstance(config.v0, str):
         raise ConfigError(
             'filter.v0 "matched" must be resolved before building; '
             "see resolve_matched_v0"
         )
-    config_from_dict(config.to_dict())
+    config_from_dict(config.to_dict("optimize"), "optimize")
     constants = PhysicalConstants(
         gyro=config.gyro,
         k_singlet=config.k_singlet,
@@ -418,9 +445,9 @@ def initial_control(config: ExperimentConfig, problem: ControlProblem):
     """The configured starting control: u0.values when set, else the
     constant u0.vector.
 
-    A start outside the prism is a ConfigError naming its key.  It is
-    checked here, not in config_from_dict, because configs whose start is
-    never used (grid-study's) carry the default u0.vector on any prism.
+    A start outside the prism is a ConfigError naming its key, raised here
+    because a run that never starts from it (grid-study without a matched
+    v0, yield-loss) carries the default u0.vector on any prism.
     """
     explicit = config.u0_values is not None
     try:
@@ -509,19 +536,11 @@ def gamma_sweep(config: ExperimentConfig):
     rows = []
     for gamma in config.gammas:
         _, report = run_single(replace(config, filter_enabled=True, gamma=gamma))
-        rows.append(
-            SweepRow(gamma=gamma, cost=report.final_cost, status=report.status)
-        )
+        rows.append(SweepRow(gamma, report.final_cost, report.status))
     if baseline_report is None:
         nofilter = replace(config, filter_enabled=False, v0=(0.0, 0.0, 0.0))
         _, baseline_report = run_single(nofilter)
-    rows.append(
-        SweepRow(
-            gamma=None,
-            cost=baseline_report.final_cost,
-            status=baseline_report.status,
-        )
-    )
+    rows.append(SweepRow(None, baseline_report.final_cost, baseline_report.status))
     return SweepRows(rows, config)
 
 
@@ -547,17 +566,13 @@ def yield_loss_table(config: ExperimentConfig, starts=YIELD_LOSS_STARTS):
     own optimization run in no-filter mode (direct-control switching
     function), never a large-gamma stand-in.  The filter starts at v0 = u0.
     Returns (rows, summary) where summary maps (p, label) -> (min, max)
-    loss percent.  Each p runs on its built-in hyperfine table, so any
-    other table is a ConfigError (config.json records the built-in one, so
-    a rerun from it passes); so is a zero no-filter yield.
+    loss percent.  A key yield-loss replaces (UNREAD) set off its default
+    is a ConfigError before any solve; so is a zero no-filter yield.
     """
-    table = config.hyperfine
-    if table is not None and not np.array_equal(table, default_hyperfine(config.p)):
-        why = "yield-loss runs p = 1..sweep.p_max on the built-in tables"
-        raise ConfigError(f"config key hyperfine must be left unset: {why}")
+    config_from_dict(config.to_dict(), "yield-loss")
     rows = []
     for p in range(1, config.p_max + 1):
-        base = replace(config, p=p, hyperfine=None, u0_values=None)
+        base = replace(config, p=p, hyperfine=None)
         for start in starts:
             label = "[" + ",".join(f"{c:g}" for c in start) + "]"
             start = tuple(float(c) for c in start)
@@ -672,7 +687,7 @@ def canonical_json(document):
 
 
 def run_id(config: ExperimentConfig, name):
-    payload = canonical_json({"experiment": name, "config": config.to_dict()})
+    payload = canonical_json({"experiment": name, "config": config.to_dict(name)})
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
@@ -695,7 +710,7 @@ def write_run(out, name, config, files):
     """
     run_dir = os.path.join(out, name, run_id(config, name))
     os.makedirs(run_dir, exist_ok=True)
-    for filename, content in {"config.json": config.to_dict(), **files}.items():
+    for filename, content in {"config.json": config.to_dict(name), **files}.items():
         path = os.path.join(run_dir, filename)
         tmp = path + ".tmp"
         try:

@@ -8,15 +8,20 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spinctrl import experiments
-from spinctrl.cli import apply_override, build_parser, load_config, main
+from spinctrl.cli import COMMANDS, apply_override, build_parser, load_config, main
 from spinctrl.experiments import (
+    SCHEMA,
+    UNREAD,
     ConfigError,
     ExperimentConfig,
+    build_problem,
     ensemble_bytes,
+    reads,
     resolve_matched_v0,
     simulate,
     write_csv,
 )
+from spinctrl.model import default_hyperfine
 
 
 def _leaf_paths(document, prefix=""):
@@ -361,9 +366,9 @@ class TestSimulateCommand:
 
     def test_dump_states_peaks_at_the_forward_ensemble(self, tmp_path, capsys):
         """At p = 3 on 200 steps the dump streams its rows: the command
-        stays near the forward ensemble and the norms' conjugate, well
-        under the ensemble_bytes it is charged (about 2x when the rows
-        came from whole-ensemble index arrays)."""
+        stays near the forward ensemble, well under the ensemble_bytes it
+        is charged (about 2x when the rows came from whole-ensemble index
+        arrays)."""
         args = ["simulate", "--dump-states", "--override", "p=3"]
         tracemalloc.start()
         try:
@@ -373,6 +378,42 @@ class TestSimulateCommand:
             tracemalloc.stop()
         assert code == 0
         assert peak <= 1.25 * ensemble_bytes(3, 200)
+
+    def test_norm_column_copies_no_ensemble(self, tmp_path, capsys):
+        """The norm_sq column is summed node by node: at p = 3 simulate
+        peaks at 0.90 of ensemble_bytes (the forward ensemble plus the
+        objective's blocks), where a conjugate copy of the whole forward
+        ensemble read 1.08."""
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--override", "p=3", "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 0.95 * ensemble_bytes(3, 200)
+
+    def test_norm_column_is_the_whole_ensemble_sum(self, tmp_path, capsys):
+        """field.csv holds, bit for bit, the norms of one einsum over the
+        whole ensemble, filtered and not, at p = 1..3."""
+        for p in (1, 2, 3):
+            for enabled in ("true", "false"):
+                overrides = [f"p={p}", "steps=40", f"filter.enabled={enabled}"]
+                args = ["simulate", "--out", str(tmp_path)]
+                for patch in overrides:
+                    args += ["--override", patch]
+                assert main(args) == 0
+                run_dir = capsys.readouterr().out.rsplit("run=", 1)[1].strip()
+                config = load_config(None, overrides)
+                _, problem, fields, forward, _ = simulate(config)
+                states = forward.states
+                norms = np.einsum("ksl,ksl->k", states.conj(), states).real
+                norms /= states.shape[2]
+                table = np.column_stack((problem.grid.nodes, fields.node_values, norms))
+                reference = tmp_path / "reference.csv"
+                write_csv(reference, ("t", "v_x", "v_y", "v_z", "norm_sq"), table)
+                with open(os.path.join(run_dir, "field.csv"), "rb") as fh:
+                    assert fh.read() == reference.read_bytes(), (p, enabled)
 
     def test_explicit_values_are_the_start(self, tmp_path, capsys):
         def cost(patch):
@@ -469,6 +510,45 @@ class TestYieldLossCommand:
         assert "config key hyperfine" in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize(
+        "override", ["p=2", "filter.gamma=7", "u0.vector=[6,6,6]"]
+    )
+    def test_replaced_key_rejected_before_solving(
+        self, override, tmp_path, capsys, monkeypatch
+    ):
+        """yield-loss sets p, the start and the filter itself, so a value
+        configured for any of them would be recorded but not used."""
+
+        def no_solve(*args):
+            raise AssertionError("yield-loss solved before rejecting a key")
+
+        monkeypatch.setattr(experiments, "run_optimizer", no_solve)
+        args = ["yield-loss", "--out", str(tmp_path / "res")]
+        for patch in ("steps=20", "sweep.p_max=1", "sweep.gammas=[1]", override):
+            args += ["--override", patch]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"config key {override.partition('=')[0]} " in err
+        assert "yield-loss" in err
+        assert not (tmp_path / "res").exists()
+
+    def test_config_json_of_every_key_still_runs(self, tmp_path, capsys):
+        """A config.json that records all keys, the default hyperfine table
+        expanded, runs and lands where the same read keys land."""
+        small = ExperimentConfig(steps=20, gammas=(1.0,), p_max=1)
+        document = small.to_dict()
+        assert document["hyperfine"] == default_hyperfine(1).tolist()
+        path = _write_config(tmp_path, document)
+        out = ["--out", str(tmp_path / "res")]
+        assert main(["yield-loss", "--config", path, *out]) == 0
+        first = capsys.readouterr().out.rsplit("run=", 1)[1].strip()
+        overrides = ["steps=20", "sweep.gammas=[1]", "sweep.p_max=1"]
+        args = ["yield-loss", *out]
+        for patch in overrides:
+            args += ["--override", patch]
+        assert main(args) == 0
+        assert capsys.readouterr().out.rsplit("run=", 1)[1].strip() == first
+
     def test_zero_nofilter_yield_exits_1(self, tmp_path, capsys):
         """No singlet recombination gives J = 0, the loss's denominator."""
         args = ["yield-loss", "--out", str(tmp_path / "res")]
@@ -522,3 +602,113 @@ class TestCompareCommand:
         capsys.readouterr()
         assert main(["compare", run_a, run_b]) == 1
         assert "control grids differ" in capsys.readouterr().err
+
+
+# Per run command: the overrides of a small, fast run; an unread key at its
+# default; and the same key off its default.
+RUN_COMMANDS = {
+    "simulate": (("steps=20",), "sweep.p_max=3", "sweep.gammas=[7]"),
+    "optimize": (("steps=20",), "sweep.p_max=3", "sweep.p_max=1"),
+    "sweep-gamma": (
+        ("steps=20", "sweep.gammas=[1]"), "filter.gamma=1", "filter.enabled=false"
+    ),
+    "yield-loss": (
+        ("steps=20", "sweep.gammas=[1]", "sweep.p_max=1"),
+        "u0.vector=[3,3,3]",
+        "filter.v0=[5,5,5]",
+    ),
+    "grid-study": (("steps=20",), "optimizer=ipmp", "optimizer.gpm.step_scale=2"),
+}
+# The number of config keys each run command reads, from the table of
+# unread keys in the README.
+READ_COUNTS = {
+    "simulate": 18, "optimize": 18, "sweep-gamma": 17, "yield-loss": 13,
+    "grid-study": 15,
+}
+
+
+def _run_dir(tmp_path, capsys, command, overrides):
+    args = [command, "--out", str(tmp_path / "res")]
+    for patch in overrides:
+        args += ["--override", patch]
+    assert main(args) == 0
+    return capsys.readouterr().out.rsplit("run=", 1)[1].strip()
+
+
+class TestReadKeys:
+    """Each run command records, hashes and caps only the keys it reads,
+    and refuses any other key set off its default."""
+
+    def test_every_run_command_has_a_row(self):
+        commands = {name for name, *_ in COMMANDS} - {"compare", "validate"}
+        assert set(UNREAD) == set(RUN_COMMANDS) == commands
+        # settable (command, key) pairs of the five run commands
+        pairs = sum(reads(name, key) for name in UNREAD for key, *_ in SCHEMA)
+        assert (len(UNREAD) * len(SCHEMA), pairs) == (100, 81)
+
+    @pytest.mark.parametrize("command", RUN_COMMANDS)
+    def test_config_json_holds_the_read_keys(self, command, tmp_path, capsys):
+        run_dir = _run_dir(tmp_path, capsys, command, RUN_COMMANDS[command][0])
+        with open(os.path.join(run_dir, "config.json")) as fh:
+            recorded = _leaf_paths(json.load(fh))
+        assert sorted(recorded) == sorted(
+            key for key, *_ in SCHEMA if reads(command, key)
+        )
+        assert len(recorded) == READ_COUNTS[command]
+        if command in ("simulate", "optimize", "grid-study"):
+            assert not any(key.startswith("sweep.") for key in recorded)
+
+    @pytest.mark.parametrize("command", RUN_COMMANDS)
+    def test_default_unread_key_keeps_the_run_dir(self, command, tmp_path, capsys):
+        overrides, at_default, _ = RUN_COMMANDS[command]
+        plain = _run_dir(tmp_path, capsys, command, overrides)
+        assert _run_dir(tmp_path, capsys, command, (*overrides, at_default)) == plain
+
+    @pytest.mark.parametrize("source", ["file", "override"])
+    @pytest.mark.parametrize("command", RUN_COMMANDS)
+    def test_unread_key_off_default_exits_1(
+        self, command, source, tmp_path, capsys, monkeypatch
+    ):
+        def no_build(*args):
+            raise AssertionError(f"{command} built a problem before refusing")
+
+        monkeypatch.setattr(experiments, "build_problem", no_build)
+        overrides, _, off_default = RUN_COMMANDS[command]
+        key = off_default.partition("=")[0]
+        args = [command, "--out", str(tmp_path / "res")]
+        if source == "file":
+            document = apply_override({}, off_default)
+            args += ["--config", _write_config(tmp_path, document)]
+        else:
+            args += ["--override", off_default]
+        for patch in overrides:
+            args += ["--override", patch]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"config key {key} is not read by {command}" in err
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize(
+        "command, accepted",
+        [
+            ("simulate", True),
+            ("optimize", True),
+            ("sweep-gamma", True),
+            ("grid-study", True),
+            ("yield-loss", False),
+            ("validate", False),
+        ],
+    )
+    def test_cap_charges_the_read_proton_counts(self, command, accepted):
+        """100000 steps fit the cap at p = 1, not at sweep.p_max = 3: only
+        validate and yield-loss read sweep.p_max."""
+        if accepted:
+            config = load_config(None, ["steps=100000"], command)
+            build_problem(config)  # charges the p it builds, not sweep.p_max
+        else:
+            with pytest.raises(ConfigError, match=r"steps too large.* sweep\.p_max=3 "):
+                load_config(None, ["steps=100000"], command)
+
+    def test_validate_still_refuses_the_largest_p(self, capsys):
+        assert main(["validate", "--override", "steps=100000"]) == 1
+        assert "sweep.p_max=3" in capsys.readouterr().err

@@ -282,7 +282,7 @@ class TestRunSingle:
         ):
             assert os.path.exists(os.path.join(run_dir, name))
         with open(os.path.join(run_dir, "config.json")) as fh:
-            assert json.load(fh) == cfg.to_dict()
+            assert json.load(fh) == cfg.to_dict("optimize")  # the keys it reads
         with open(os.path.join(run_dir, "report.json")) as fh:
             doc = json.load(fh)
         assert doc["status"] == report.status
