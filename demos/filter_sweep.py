@@ -14,7 +14,7 @@ the no-filter baseline.
 from spinctrl import ExperimentConfig, gamma_sweep
 
 cfg = ExperimentConfig(v0="matched")
-rows = gamma_sweep(cfg)
+_, rows = gamma_sweep(cfg)  # (resolved config, rows)
 
 print("gamma      J(gamma)       status")
 for row in rows:

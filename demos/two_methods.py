@@ -11,7 +11,7 @@ reference single-proton problem they must land on the same maximizer.
 
 from dataclasses import replace
 
-from spinctrl import ExperimentConfig, GpmSettings, compare_controls
+from spinctrl import ExperimentConfig, compare_controls
 from spinctrl.experiments import build_problem, run_single
 
 cfg = ExperimentConfig()  # p=1, prism [3,6]^3 uT, gamma=1, v0=[3,3,3]
@@ -22,15 +22,14 @@ print(f"ipmp: {ipmp.status} after {ipmp.iterations} iterations, "
 
 # step_scale stretches the BB step; the dual tolerance is control-bound
 # and needs the larger steps to settle inside a comparable budget
-gpm_cfg = replace(cfg, method="gpm", gpm=GpmSettings(step_scale=12.0))
+gpm_cfg = replace(cfg, method="gpm", gpm_step_scale=12.0)
 _, gpm = run_single(gpm_cfg)
 print(f"gpm:  {gpm.status} after {gpm.iterations} iterations, "
       f"J = {gpm.final_cost:.9f}")
 
 h = build_problem(cfg).grid.h
-gap = compare_controls(
-    ipmp.final_control, gpm.final_control, ipmp.final_cost, gpm.final_cost, h=h
-)
+u_ipmp, u_gpm = ipmp.final_control.values, gpm.final_control.values
+gap = compare_controls(u_ipmp, u_gpm, ipmp.final_cost, gpm.final_cost, h=h)
 print()
 print(f"relative L2 control discrepancy: {gap.rel_ctrl:.4f}")
 print(f"relative cost discrepancy:       {gap.rel_cost:.3e}")

@@ -28,6 +28,5 @@ from .experiments import (
     yield_loss_table,
 )
 from .model import build_model, triplet_states
-from .optimize import GpmSettings
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .dynamics import ControlSignal, IntegrationOverflow, Prism, TimeGrid
+from .dynamics import IntegrationOverflow, TimeGrid
 from .experiments import (
     SCHEMA,
     ConfigError,
@@ -183,12 +183,12 @@ def cmd_optimize(config, args):
 
 @run_command
 def cmd_sweep_gamma(config, args):
-    rows = gamma_sweep(config)
+    config, rows = gamma_sweep(config)
     table = [(r.label, r.cost, r.status) for r in rows]
     lines = [f"gamma={r.label}: J={r.cost:.10f} status={r.status}" for r in rows]
     capped = any(r.status == STATUS_MAX_ITERS for r in rows)
     files = {"sweep.csv": (("gamma", "J", "status"), table)}
-    return rows.config, files, [*lines, "sweep-gamma:"], capped
+    return config, files, [*lines, "sweep-gamma:"], capped
 
 
 @run_command
@@ -241,10 +241,14 @@ def _read_run(run_dir):
     report_path = os.path.join(run_dir, "report.json")
     with open(control_path) as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:4] != ["t", "u_x", "u_y", "u_z"]:
+        if next(reader, None) != ["t", "u_x", "u_y", "u_z"]:
             raise ConfigError(f"{control_path} is not a control table")
-        values = np.array([[float(c) for c in row[1:4]] for row in reader])
+        try:
+            values = np.array([[float(c) for c in row[1:]] for row in reader])
+        except ValueError:  # a cell that is not a number, or a ragged row
+            values = np.empty(0)
+    if values.shape[1:] != (3,) or not np.isfinite(values).all():  # no rows: (0,)
+        raise ConfigError(f"{control_path} must hold rows of t and 3 finite numbers")
     with open(report_path) as fh:
         report = json.load(fh)
     if "final_cost" not in report:
@@ -259,13 +263,7 @@ def cmd_compare(args):
         raise ConfigError(
             f"control grids differ: {u1.shape[0]} vs {u2.shape[0]} intervals"
         )
-    hull = Prism(
-        lower=np.minimum(u1.min(axis=0), u2.min(axis=0)),
-        upper=np.maximum(u1.max(axis=0), u2.max(axis=0)),
-    )
-    cmp = compare_controls(
-        ControlSignal(u1, hull), ControlSignal(u2, hull), j1, j2
-    )
+    cmp = compare_controls(u1, u2, j1, j2)
     tag = " (absolute: reference control is zero)" if cmp.absolute else ""
     print(f"rel_ctrl={cmp.rel_ctrl:.6f}{tag}")
     print(f"rel_cost={cmp.rel_cost:.6e}")

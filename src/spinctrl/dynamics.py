@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import MT_PER_UT, ModelAssembly, TripletBasis
+from .model import MT_PER_UT, ModelAssembly
 
 OVERFLOW_LIMIT = 1.0e6
 # Relative norm growth forgiven as rounding.  No norm grew on stable grids
@@ -283,15 +283,15 @@ class StateEnsemble:
 def integrate_forward(
     assembly: ModelAssembly,
     fields: FieldTrajectory,
-    basis: TripletBasis,
+    basis: np.ndarray,
     grid: TimeGrid,
 ):
-    """Propagate every triplet-born state through H(v(t)) with RK4."""
+    """Propagate each triplet-born state (column of basis) with RK4."""
     h = grid.h
     half_h, sixth_h = 0.5 * h, h / 6.0
     coef = -1.0j
     drift = assembly.h_hfi - 1.0j * assembly.k_op
-    psi = basis.states.astype(complex).copy()
+    psi = basis.astype(complex)
     out = np.empty((grid.steps + 1,) + psi.shape, dtype=complex)
     out[0] = psi
     bound = np.linalg.norm(psi, axis=0) * (1.0 + NORM_SLACK)
@@ -330,7 +330,7 @@ def integrate_adjoint(
     h = grid.h
     half_h, sixth_h = 0.5 * h, h / 6.0
     coef = -1.0j
-    src_coef = -assembly.constants.k_singlet / 2.0
+    src_coef = -assembly.k_singlet / 2.0
     drift = assembly.h_hfi + 1.0j * assembly.k_op
     p_s = assembly.projector_singlet
     chi = np.zeros_like(forward.states[0])

@@ -35,9 +35,8 @@ import json
 import numbers
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fnmatch import fnmatchcase
-from functools import reduce
 
 import numpy as np
 
@@ -50,20 +49,14 @@ from .dynamics import (
     filter_field,  # noqa: F401  imported so that tracers can rebind it here
     integrate_forward,  # noqa: F401  likewise
 )
-from .model import (
-    GYRO_DEFAULT,
-    PhysicalConstants,
-    build_model,
-    default_hyperfine,
-    triplet_states,
-)
+from .model import GYRO_DEFAULT, build_model, default_hyperfine, triplet_states
 from .objective import singlet_yield  # noqa: F401  likewise
 from .optimize import (
+    GPM_MAX_ITERS,
+    IPMP_MAX_ITERS,
     STATUS_MAX_ITERS,
     STATUS_OSCILLATING,
     ControlProblem,
-    GpmSettings,
-    IpmpSettings,
     OptimizerReport,
     control_norm,
     gpm_optimize,
@@ -115,15 +108,15 @@ class ControlComparison:
     absolute: bool = False  # True when ||u1|| = 0 forced an absolute norm
 
 
-def compare_controls(u1: ControlSignal, u2: ControlSignal, j1, j2, h=1.0):
-    """Relative L2 control discrepancy and relative cost discrepancy.
+def compare_controls(u1, u2, j1, j2, h=1.0):
+    """Relative L2 discrepancy of two (steps, 3) controls, and of their costs.
 
     Both use u1/j1 as the reference.  A zero reference control makes the
     ratio undefined; the absolute difference norm is returned instead with
     the `absolute` flag raised.
     """
-    diff = control_norm(u1.values - u2.values, h)
-    ref = control_norm(u1.values, h)
+    diff = control_norm(u1 - u2, h)
+    ref = control_norm(u1, h)
     if ref == 0.0:
         rel_ctrl, absolute = diff, True
     else:
@@ -161,8 +154,9 @@ class ExperimentConfig:
     u0_vector: tuple = (3.0, 3.0, 3.0)
     u0_values: tuple | None = None  # (steps, 3) rows; replaces u0_vector if set
     method: str = "ipmp"  # gpm | ipmp
-    gpm: GpmSettings = field(default_factory=GpmSettings)
-    ipmp: IpmpSettings = field(default_factory=IpmpSettings)
+    gpm_max_iters: int = GPM_MAX_ITERS
+    gpm_step_scale: float = 1.0
+    ipmp_max_iters: int = IPMP_MAX_ITERS
     gammas: tuple = GAMMA_SWEEP_DEFAULT
     p_max: int = 3
 
@@ -171,7 +165,7 @@ class ExperimentConfig:
         reads (every key unless a run command is named)."""
         document = {}
         for key, attr, _, _ in SCHEMA:
-            value = reduce(getattr, attr.split("."), self)
+            value = getattr(self, attr)
             if key == "hyperfine" and value is None:
                 value = default_hyperfine(self.p)
             if reads(command, key):
@@ -306,10 +300,10 @@ SCHEMA = (
      "explicit steps x 3 starting control, uT; replaces u0.vector"),
     ("optimizer.method", "method", _choice("gpm", "ipmp"),
      "gpm | ipmp  (shorthand: optimizer=ipmp)"),
-    ("optimizer.gpm.max_iters", "gpm.max_iters", _COUNT, "iteration cap"),
-    ("optimizer.gpm.step_scale", "gpm.step_scale", _POSITIVE,
+    ("optimizer.gpm.max_iters", "gpm_max_iters", _COUNT, "iteration cap"),
+    ("optimizer.gpm.step_scale", "gpm_step_scale", _POSITIVE,
      "multiplier on the Barzilai-Borwein step"),
-    ("optimizer.ipmp.max_iters", "ipmp.max_iters", _COUNT, "iteration cap"),
+    ("optimizer.ipmp.max_iters", "ipmp_max_iters", _COUNT, "iteration cap"),
     ("sweep.gammas", "gammas", _gammas,
      "gamma values for sweep-gamma/yield-loss, 1/us"),
     ("sweep.p_max", "p_max", _PROTONS, "largest proton count in yield-loss"),
@@ -369,15 +363,8 @@ def config_from_dict(data, command=None):
     the state cap charges each of p and sweep.p_max that it reads."""
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
-    values = {}
-    settings = {"gpm": {}, "ipmp": {}}
-    for (key, attr, parse, _), value in _leaves(data):
-        owner, _, name = attr.rpartition(".")
-        (settings[owner] if owner else values)[name] = parse(value, key)
     config = ExperimentConfig(
-        **values,
-        gpm=GpmSettings(**settings["gpm"]),
-        ipmp=IpmpSettings(**settings["ipmp"]),
+        **{attr: parse(value, key) for (key, attr, parse, _), value in _leaves(data)}
     )
 
     p, steps = config.p, config.steps
@@ -420,24 +407,15 @@ def build_problem(config: ExperimentConfig):
             "see resolve_matched_v0"
         )
     config_from_dict(config.to_dict("optimize"), "optimize")
-    constants = PhysicalConstants(
-        gyro=config.gyro,
-        k_singlet=config.k_singlet,
-        k_triplet=config.k_triplet,
-    )
-    assembly = build_model(p=config.p, constants=constants, hyperfine=config.hyperfine)
-    basis = triplet_states(config.p)
-    grid = TimeGrid(config.t_final, config.steps)
-    prism = Prism(lower=config.prism_lower, upper=config.prism_upper)
-    filter_cfg = FilterConfig(
-        gamma=config.gamma, v0=config.v0, enabled=config.filter_enabled
-    )
     return ControlProblem(
-        assembly=assembly,
-        basis=basis,
-        grid=grid,
-        prism=prism,
-        filter_cfg=filter_cfg,
+        assembly=build_model(
+            config.p, gyro=config.gyro, k_singlet=config.k_singlet,
+            k_triplet=config.k_triplet, hyperfine=config.hyperfine,
+        ),
+        basis=triplet_states(config.p),
+        grid=TimeGrid(config.t_final, config.steps),
+        prism=Prism(config.prism_lower, config.prism_upper),
+        filter_cfg=FilterConfig(config.gamma, config.v0, config.filter_enabled),
     )
 
 
@@ -461,8 +439,11 @@ def initial_control(config: ExperimentConfig, problem: ControlProblem):
 
 def run_optimizer(problem: ControlProblem, u0: ControlSignal, config: ExperimentConfig):
     if config.method == "gpm":
-        return gpm_optimize(problem, u0, config.gpm)
-    return ipmp_optimize(problem, u0, config.ipmp)
+        return gpm_optimize(
+            problem, u0, max_iters=config.gpm_max_iters,
+            step_scale=config.gpm_step_scale,
+        )
+    return ipmp_optimize(problem, u0, max_iters=config.ipmp_max_iters)
 
 
 def resolve_matched_v0(config: ExperimentConfig):
@@ -515,18 +496,9 @@ class SweepRow:
         return "nofilter" if self.gamma is None else repr(self.gamma)
 
 
-class SweepRows(list):
-    """The rows of one gamma sweep; `config` is the config it ran, with
-    v0="matched" resolved."""
-
-    def __init__(self, rows, config):
-        super().__init__(rows)
-        self.config = config
-
-
 def gamma_sweep(config: ExperimentConfig):
     """Optimize at each of sweep.gammas, then append the no-filter baseline
-    row; returns SweepRows.
+    row; returns (config it ran, with v0="matched" resolved, rows).
 
     A MaxIters run is recorded with its status, not raised.  v0="matched"
     is resolved once and shared by every row, and the no-filter optimum it
@@ -541,7 +513,7 @@ def gamma_sweep(config: ExperimentConfig):
         nofilter = replace(config, filter_enabled=False, v0=(0.0, 0.0, 0.0))
         _, baseline_report = run_single(nofilter)
     rows.append(SweepRow(None, baseline_report.final_cost, baseline_report.status))
-    return SweepRows(rows, config)
+    return config, rows
 
 
 @dataclass(frozen=True)
@@ -566,17 +538,23 @@ def yield_loss_table(config: ExperimentConfig, starts=YIELD_LOSS_STARTS):
     own optimization run in no-filter mode (direct-control switching
     function), never a large-gamma stand-in.  The filter starts at v0 = u0.
     Returns (rows, summary) where summary maps (p, label) -> (min, max)
-    loss percent.  A key yield-loss replaces (UNREAD) set off its default
-    is a ConfigError before any solve; so is a zero no-filter yield.
+    loss percent.  A key yield-loss replaces (UNREAD) set off its default,
+    or a start outside the prism, is a ConfigError before any solve; so is
+    a zero no-filter yield.
     """
     config_from_dict(config.to_dict(), "yield-loss")
+    prism = Prism(config.prism_lower, config.prism_upper)
+    labels = ["[" + ",".join(f"{c:g}" for c in start) + "]" for start in starts]
+    for start, label in zip(starts, labels):
+        if not prism.contains(start, tol=1.0e-12):  # ControlSignal's tolerance
+            why = f"exclude the yield-loss start u0={label}"
+            raise ConfigError(f"config keys prism.lower/prism.upper {why}")
     rows = []
     for p in range(1, config.p_max + 1):
         base = replace(config, p=p, hyperfine=None)
-        for start in starts:
-            label = "[" + ",".join(f"{c:g}" for c in start) + "]"
+        for start, label in zip(starts, labels):
             start = tuple(float(c) for c in start)
-            *filtered, ref = gamma_sweep(replace(base, u0_vector=start, v0=start))
+            _, (*filtered, ref) = gamma_sweep(replace(base, u0_vector=start, v0=start))
             if ref.cost == 0.0:
                 why = "the no-filter optimal yield is 0, so the loss is undefined"
                 raise ConfigError(f"yield-loss at p={p}, u0={label}: {why}")
@@ -638,21 +616,15 @@ def uniqueness_study(config: ExperimentConfig, vertices=STUDY_VERTICES):
     reports = [run_optimizer(problem, u0, config) for u0 in starts]
 
     h = problem.grid.h
-    n_family = len(reports) // len(vertices)
+    n = len(reports) // len(vertices)  # the first run of the second family
+    controls = [r.final_control.values for r in reports]
+    costs = tuple(r.final_cost for r in reports)
     max_ctrl = max_cost = 0.0
-    for a, b in itertools.combinations(reports, 2):
-        cmp = compare_controls(
-            a.final_control, b.final_control, a.final_cost, b.final_cost, h
-        )
+    for a, b in itertools.combinations(range(len(reports)), 2):
+        cmp = compare_controls(controls[a], controls[b], costs[a], costs[b], h)
         max_ctrl = max(max_ctrl, cmp.rel_ctrl)
         max_cost = max(max_cost, cmp.rel_cost)
-    family_split = compare_controls(
-        reports[0].final_control,
-        reports[n_family].final_control,
-        reports[0].final_cost,
-        reports[n_family].final_cost,
-        h,
-    )
+    family_split = compare_controls(controls[0], controls[n], costs[0], costs[n], h)
 
     statuses = tuple(r.status for r in reports)
     if all(s == STATUS_OSCILLATING for s in statuses):
@@ -665,7 +637,7 @@ def uniqueness_study(config: ExperimentConfig, vertices=STUDY_VERTICES):
         config=config,
         classification=classification,
         statuses=statuses,
-        costs=tuple(r.final_cost for r in reports),
+        costs=costs,
         max_pairwise_ctrl=max_ctrl,
         max_pairwise_cost=max_cost,
         family_split=family_split,
@@ -754,6 +726,6 @@ def run_files(grid: TimeGrid, report: OptimizerReport):
         ),
         "switching.csv": (
             ("t", "phi_x", "phi_y", "phi_z"),
-            np.column_stack((nodes, report.final_switching.values)),
+            np.column_stack((nodes, report.final_switching)),
         ),
     }

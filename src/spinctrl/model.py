@@ -6,10 +6,12 @@ millitesla at the Hamiltonian level.  The electron gyromagnetic factor
 
     GYRO = mu_B * g / hbar = 176.0859 rad us^-1 mT^-1
 
-converts field components to angular frequency.  Control-facing layers store
-fields in microtesla; MT_PER_UT is the single conversion constant between
-the two, applied where field samples meet the Zeeman generators and (with
-the same constant) in the control-gradient prefactor, never twice.
+converts field components to angular frequency; build_model takes it, the
+rates k_S, k_T and the hyperfine table as keyword arguments.  Control-facing
+layers store fields in microtesla; MT_PER_UT is the single conversion
+constant between the two, applied where field samples meet the Zeeman
+generators and (with the same constant) in the control-gradient prefactor,
+never twice.
 
 The evolution generator for a field v (mT) is
 
@@ -47,25 +49,6 @@ HYPERFINE_ROWS = (
     (0.238, 0.357, 0.117),
 )
 HYPERFINE_TAIL = (-0.218, -0.202, -0.054)
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Unit-bearing scalars of the model.
-
-    gyro: rad us^-1 mT^-1; k_singlet, k_triplet: us^-1.  hbar = 1 is a
-    solver unit, not a field (module docstring).
-    """
-
-    gyro: float = GYRO_DEFAULT
-    k_singlet: float = 10.0
-    k_triplet: float = 10.0
-
-    def __post_init__(self):
-        if self.gyro <= 0:
-            raise ValueError("gyro must be positive")
-        if self.k_singlet < 0 or self.k_triplet < 0:
-            raise ValueError("recombination rates must be non-negative")
 
 
 def default_hyperfine(p):
@@ -106,7 +89,7 @@ class ModelAssembly:
     from are not kept.  Arrays are shared, not copied; treat as immutable.
     """
 
-    constants: PhysicalConstants
+    k_singlet: float  # us^-1: weighs the yield and the costate source
     hyperfine: np.ndarray  # (p, 3), mT
     zeeman: np.ndarray
     h_hfi: np.ndarray
@@ -136,39 +119,33 @@ class ModelAssembly:
         return h - 1j * self.k_op
 
 
-def build_model(p=1, constants=None, hyperfine=None):
-    """Assemble spin operators and Hamiltonian pieces for p protons."""
-    constants = constants if constants is not None else PhysicalConstants()
+def build_model(p=1, gyro=GYRO_DEFAULT, k_singlet=10.0, k_triplet=10.0, hyperfine=None):
+    """Hamiltonian pieces for p protons, in the module docstring's units;
+    hyperfine=None takes the default table for p."""
+    if gyro <= 0:
+        raise ValueError("gyro must be positive")
+    if k_singlet < 0 or k_triplet < 0:
+        raise ValueError("recombination rates must be non-negative")
     system = build_spin_system(p)
     table = (
         default_hyperfine(p)
         if hyperfine is None
         else np.asarray(hyperfine, dtype=float)
     )
-    zeeman = np.stack(
-        [constants.gyro * (system.s1[i] + system.s2[i]) for i in range(3)]
-    )
+    zeeman = np.stack([gyro * (system.s1[i] + system.s2[i]) for i in range(3)])
     return ModelAssembly(
-        constants=constants,
+        k_singlet=k_singlet,
         hyperfine=table,
         zeeman=zeeman,
-        h_hfi=build_hfi(system, table, constants.gyro),
-        k_op=build_recombination(
-            system, constants.k_singlet, constants.k_triplet
-        ),
+        h_hfi=build_hfi(system, table, gyro),
+        k_op=build_recombination(system, k_singlet, k_triplet),
         projector_singlet=system.projector_singlet,
     )
 
 
-@dataclass(frozen=True)
-class TripletBasis:
-    """The 3 * 2**p triplet-born initial states, columns of `states`."""
-
-    states: np.ndarray  # (dim, 3 * 2**p) complex, orthonormal columns
-
-
 def triplet_states(p):
-    """Triplet-born basis: block order T0, T+, T- (see module docstring)."""
+    """Triplet-born basis, (dim, 3 * 2**p) complex with orthonormal columns
+    in block order T0, T+, T- (see module docstring)."""
     dim = 2 ** (p + 2)
     q = 2 ** p
     states = np.zeros((dim, 3 * q), dtype=complex)
@@ -182,4 +159,4 @@ def triplet_states(p):
         states[offset, q + offset] = 1.0
         # T-: both electrons in the second configuration
         states[3 * q + offset, 2 * q + offset] = 1.0
-    return TripletBasis(states=states)
+    return states

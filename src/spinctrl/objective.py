@@ -40,8 +40,6 @@ operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dynamics import (
@@ -79,20 +77,8 @@ def singlet_yield(
     """Ensemble singlet yield J (dimensionless, non-negative)."""
     pops = singlet_populations(forward, assembly)
     weights = trapezoid_weights(grid.steps + 1, grid.h)
-    prefactor = assembly.constants.k_singlet / (3.0 * 2 ** (assembly.p + 1))
+    prefactor = assembly.k_singlet / (3.0 * 2 ** (assembly.p + 1))
     return float(prefactor * np.dot(weights, pops))
-
-
-@dataclass(frozen=True)
-class SwitchingSignal:
-    """Gradient density phi sampled on nodes: values[k] = phi(t_k), per uT."""
-
-    values: np.ndarray  # (steps + 1, 3)
-
-    def interval_averages(self):
-        """Trapezoid average of phi on each interval (the per-interval
-        gradient with respect to that interval's control value, up to h)."""
-        return 0.5 * (self.values[:-1] + self.values[1:])
 
 
 def _kernel_coefficients(x):
@@ -134,10 +120,10 @@ def switching_function(
     cfg: FilterConfig,
     grid: TimeGrid,
 ):
-    """Control gradient / switching signal phi on the grid nodes."""
+    """Control gradient / switching signal phi on the grid nodes, (steps+1, 3)."""
     m = gradient_integrand(forward, adjoint, assembly)
     if not cfg.enabled:
-        return SwitchingSignal(values=m)
+        return m
     a, b = _kernel_coefficients(cfg.gamma * grid.h)
     a, b = float(a), float(b)
     decay = float(np.exp(-cfg.gamma * grid.h))
@@ -153,16 +139,16 @@ def switching_function(
         wz = decay * wz + a * lz + b * rz
         w.append((wx, wy, wz))
         rx, ry, rz = lx, ly, lz
-    return SwitchingSignal(values=np.array(w[::-1]))
+    return np.array(w[::-1])
 
 
-def hp_integral(phi: SwitchingSignal, control: ControlSignal, grid: TimeGrid):
+def hp_integral(phi, control: ControlSignal, grid: TimeGrid):
     """int phi . u dt, exact in the piecewise-constant u, trapezoid in phi."""
-    avg = phi.interval_averages()
+    avg = 0.5 * (phi[:-1] + phi[1:])  # trapezoid average on each interval
     return float(grid.h * np.sum(avg * control.values))
 
 
-def pmp_residual(phi: SwitchingSignal, control: ControlSignal):
+def pmp_residual(phi, control: ControlSignal):
     """Fraction of decided (interval, component) pairs violating the
     bang-bang rule.
 
@@ -170,8 +156,8 @@ def pmp_residual(phi: SwitchingSignal, control: ControlSignal):
     dead band 1e-8 * max|phi|; it is violated when u_i does not sit on the
     bound phi's sign selects.  Returns 0.0 if nothing is decided.
     """
-    phi_left = phi.values[:-1]
-    dead_band = 1.0e-8 * np.max(np.abs(phi.values))
+    phi_left = phi[:-1]
+    dead_band = 1.0e-8 * np.max(np.abs(phi))
     decided = np.abs(phi_left) > dead_band
     if not np.any(decided):
         return 0.0

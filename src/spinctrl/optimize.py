@@ -9,7 +9,9 @@ the exact adjoint gradient with a Barzilai-Borwein step
 
 projects back onto the prism after every update, and stops when the
 relative cost change and the relative control change both fall under their
-fixed tolerances GPM_EPS_COST and GPM_EPS_CTRL.
+fixed tolerances GPM_EPS_COST and GPM_EPS_CTRL.  Both methods take their
+iteration cap as the keyword max_iters, and GPM takes step_scale, a
+multiplier on every Barzilai-Borwein step.
 
 The iterative maximum-principle method (IPMP) replaces the line search by
 the pointwise optimality condition: each sweep computes the switching
@@ -43,8 +45,8 @@ from .dynamics import (
     integrate_adjoint,
     integrate_forward,
 )
-from .model import ModelAssembly, TripletBasis
-from .objective import SwitchingSignal, singlet_yield, switching_function
+from .model import ModelAssembly
+from .objective import singlet_yield, switching_function
 
 logger = logging.getLogger(__name__)
 
@@ -54,6 +56,8 @@ STATUS_OSCILLATING = "Oscillating"
 
 GPM_EPS_COST = 1.0e-5  # GPM stops when the relative cost change and
 GPM_EPS_CTRL = 1.0e-5  # the relative control change both fall under these
+GPM_MAX_ITERS = 200  # default iteration caps
+IPMP_MAX_ITERS = 50
 
 
 def control_inner(a, b, h):
@@ -83,14 +87,12 @@ def bb_step(u_prev, u_cur, g_prev, g_cur, h, fallback):
     return abs(control_inner(du, dg, h)) / dg_norm_sq
 
 
-def synthesize_bang_bang(
-    phi: SwitchingSignal, bounds: Prism, previous: ControlSignal
-):
-    """Sign rule applied at each interval's left node.
+def synthesize_bang_bang(phi, bounds: Prism, previous: ControlSignal):
+    """Sign rule applied at each interval's left node of phi (steps+1, 3).
 
     Prism.bang_bang's bounds, except the previous value on an exact zero.
     """
-    phi_left = phi.values[:-1]
+    phi_left = phi[:-1]
     values = np.where(phi_left == 0.0, previous.values, bounds.bang_bang(phi_left))
     return ControlSignal(values=values, bounds=bounds)
 
@@ -100,7 +102,7 @@ class ControlProblem:
     """Everything fixed during one optimization run."""
 
     assembly: ModelAssembly
-    basis: TripletBasis
+    basis: np.ndarray  # triplet-born states, columns
     grid: TimeGrid
     prism: Prism
     filter_cfg: FilterConfig
@@ -113,36 +115,12 @@ class ControlProblem:
         return fields, forward, cost
 
     def gradient(self, fields: FieldTrajectory, forward: StateEnsemble):
-        """(adjoint ensemble, switching signal) for an evaluated control."""
+        """(adjoint ensemble, switching signal phi) for an evaluated control."""
         adjoint = integrate_adjoint(self.assembly, fields, forward, self.grid)
         phi = switching_function(
             forward, adjoint, self.assembly, self.filter_cfg, self.grid
         )
         return adjoint, phi
-
-
-@dataclass(frozen=True)
-class GpmSettings:
-    """Projected-gradient settings; the first step moves the control by
-    10% of the narrowest prism width."""
-
-    max_iters: int = 200
-    step_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.step_scale <= 0:
-            raise ValueError("step_scale must be positive")
-
-
-@dataclass(frozen=True)
-class IpmpSettings:
-    max_iters: int = 50
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -159,7 +137,7 @@ class OptimizerReport:
     final_control: ControlSignal
     final_field: FieldTrajectory
     final_cost: float
-    final_switching: SwitchingSignal
+    final_switching: np.ndarray  # phi on the grid nodes, (steps+1, 3)
     cycle_members: tuple | None = None
 
 
@@ -171,11 +149,14 @@ def _first_step_size(prism: Prism, gradient):
     return 0.1 * float(np.min(widths)) / float(peak)
 
 
-def gpm_optimize(
-    problem: ControlProblem, u0: ControlSignal, settings: GpmSettings = None
-):
-    """Projected gradient ascent with Barzilai-Borwein steps."""
-    settings = settings if settings is not None else GpmSettings()
+def gpm_optimize(problem, u0, *, max_iters=GPM_MAX_ITERS, step_scale=1.0):
+    """Projected gradient ascent from control u0 with Barzilai-Borwein steps
+    times step_scale; the first step moves the control by 10% of the
+    narrowest prism width."""
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    if step_scale <= 0:
+        raise ValueError("step_scale must be positive")
     h = problem.grid.h
     tiny = 1.0e-300
     u = u0
@@ -183,7 +164,7 @@ def gpm_optimize(
     lambda_first = None
     cost_history = []
     status = STATUS_MAX_ITERS
-    for n in range(settings.max_iters + 1):
+    for n in range(max_iters + 1):
         fields, forward, cost = problem.evaluate(u)
         # [1], not `_, phi =`: a bound adjoint would outlive the next solve
         phi = problem.gradient(fields, forward)[1]
@@ -202,16 +183,16 @@ def gpm_optimize(
                 break
         else:
             logger.info("gpm iter 0 cost=%.10f", cost)
-        if n == settings.max_iters:
+        if n == max_iters:
             break
         # left-node sampling: the ascent then shares its fixed points with
         # the bang-bang synthesis rule, which reads phi at the same nodes
-        grad = phi.values[:-1]
+        grad = phi[:-1]
         if n == 0:
             lambda_first = _first_step_size(problem.prism, grad)
             step = lambda_first
         else:
-            step = settings.step_scale * bb_step(
+            step = step_scale * bb_step(
                 u_prev.values,
                 u.values,
                 g_prev,
@@ -233,11 +214,10 @@ def gpm_optimize(
     )
 
 
-def ipmp_optimize(
-    problem: ControlProblem, u0: ControlSignal, settings: IpmpSettings = None
-):
-    """Fixed-point iteration on the maximum-principle sign rule."""
-    settings = settings if settings is not None else IpmpSettings()
+def ipmp_optimize(problem, u0, *, max_iters=IPMP_MAX_ITERS):
+    """Fixed-point iteration on the maximum-principle sign rule from u0."""
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     iterates = [u0]
     costs = []
     solved = []  # (fields, phi) of each evaluated iterate
@@ -260,12 +240,12 @@ def ipmp_optimize(
     # the control of each iterate -> its index; + 0.0 turns -0.0 into 0.0,
     # so that controls which compare equal share a key
     visited = {(u0.values + 0.0).tobytes(): 0}
-    for n in range(settings.max_iters + 1):
+    for n in range(max_iters + 1):
         fields, forward, cost = problem.evaluate(iterates[n])
         costs.append(cost)
         phi = problem.gradient(fields, forward)[1]  # adjoint freed now, as in GPM
         solved.append((fields, phi))
-        if n == settings.max_iters:
+        if n == max_iters:
             return report(STATUS_MAX_ITERS, n)
         candidate = synthesize_bang_bang(phi, problem.prism, iterates[n])
         flips = int(np.count_nonzero(candidate.values != iterates[n].values))

@@ -560,6 +560,27 @@ class TestYieldLossCommand:
         err = capsys.readouterr().err
         assert "p=1, u0=[3,3,3]" in err and "no-filter optimal yield is 0" in err
 
+    def test_prism_excluding_a_start_rejected_before_solving(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The signed prism excludes the fixed starts [3,3,3] and [6,6,3]:
+        the error names the prism keys and the start, not u0.vector, which
+        yield-loss does not read."""
+
+        def no_solve(*args):
+            raise AssertionError("yield-loss solved before rejecting the prism")
+
+        monkeypatch.setattr(experiments, "run_optimizer", no_solve)
+        args = ["yield-loss", "--out", str(tmp_path / "res")]
+        patches = ("steps=20", "sweep.p_max=1", "sweep.gammas=[1]", *SIGNED_PRISM)
+        for patch in patches:
+            args += ["--override", patch]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "prism.lower/prism.upper" in err and "u0=[3,3,3]" in err
+        assert "u0.vector" not in err
+        assert not (tmp_path / "res").exists()
+
 
 @pytest.mark.parametrize(
     "command, patches",
@@ -602,6 +623,21 @@ class TestCompareCommand:
         capsys.readouterr()
         assert main(["compare", run_a, run_b]) == 1
         assert "control grids differ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], ["0.0,3.0,3.0"], ["0.0,3.0,x,3.0"], ["0.0,3.0,3.0,nan"]],
+        ids=["no-rows", "two-values", "not-a-number", "not-finite"],
+    )
+    def test_malformed_control_table_exits_1_naming_it(self, rows, tmp_path, capsys):
+        run_a = self._run(tmp_path, "a", {"steps": 50})
+        run_b = self._run(tmp_path, "b", {"steps": 50})
+        control = os.path.join(run_b, "control.csv")
+        with open(control, "w") as fh:
+            fh.write("\n".join(["t,u_x,u_y,u_z", *rows, ""]))
+        capsys.readouterr()
+        assert main(["compare", run_a, run_b]) == 1
+        assert control in capsys.readouterr().err
 
 
 # Per run command: the overrides of a small, fast run; an unread key at its

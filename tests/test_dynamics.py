@@ -17,7 +17,7 @@ from spinctrl.dynamics import (
     integrate_adjoint,
     integrate_forward,
 )
-from spinctrl.model import MT_PER_UT, PhysicalConstants, build_model, triplet_states
+from spinctrl.model import MT_PER_UT, build_model, triplet_states
 from spinctrl.objective import singlet_yield, switching_function
 
 PRISM = Prism(lower=np.array([3.0, 3.0, 3.0]), upper=np.array([6.0, 6.0, 6.0]))
@@ -199,9 +199,7 @@ class TestIntegrateForward:
     def test_zero_hamiltonian_keeps_state(self):
         """H = 0 (zero field, zero hyperfine, zero decay): psi constant."""
         model = build_model(
-            p=1,
-            constants=PhysicalConstants(k_singlet=0.0, k_triplet=0.0),
-            hyperfine=np.zeros((1, 3)),
+            p=1, k_singlet=0.0, k_triplet=0.0, hyperfine=np.zeros((1, 3))
         )
         basis = triplet_states(1)
         grid = make_grid(50)
@@ -210,7 +208,7 @@ class TestIntegrateForward:
         fields = filter_field(u, FilterConfig(enabled=False), grid)
         forward = integrate_forward(model, fields, basis, grid)
         for k in (0, 25, 50):
-            assert_allclose(forward.states[k], basis.states, atol=1e-14)
+            assert_allclose(forward.states[k], basis, atol=1e-14)
 
     def test_initial_condition_stored(self):
         model = build_model(p=1)
@@ -220,7 +218,7 @@ class TestIntegrateForward:
         fields = filter_field(u, FilterConfig(), grid)
         forward = integrate_forward(model, fields, basis, grid)
         assert forward.states.shape[0] == 21
-        assert_allclose(forward.states[0], basis.states, atol=0)
+        assert_allclose(forward.states[0], basis, atol=0)
 
     def test_exponential_norm_law(self):
         """With k_S = k_T = k the squared norms decay exactly like e^{-kt}.
@@ -249,9 +247,7 @@ class TestIntegrateForward:
         from 1 only at theta^6), so the ratio lands near 32, well above
         the h^4 floor of 12 asserted here.
         """
-        model = build_model(
-            p=1, constants=PhysicalConstants(k_singlet=0.0, k_triplet=0.0)
-        )
+        model = build_model(p=1, k_singlet=0.0, k_triplet=0.0)
         basis = triplet_states(1)
 
         def drift(steps):
@@ -277,7 +273,7 @@ class TestIntegrateForward:
         forward = integrate_forward(model, fields, basis, grid)
         h_const = model.hamiltonian_at(np.array([0.003, 0.003, 0.003]))
         propagator = expm(-1j * h_const * 0.5)
-        exact = propagator @ basis.states
+        exact = propagator @ basis
         assert np.max(np.abs(forward.states[-1] - exact)) <= 1.0e-8
 
     def test_grid_refinement_fourth_order(self):
@@ -330,9 +326,7 @@ class TestIntegrateForward:
         basis = triplet_states(p)
         grid = make_grid(12)
         for k_s, k_t in ((10.0, 10.0), (0.0, 0.0), (10.0, 0.0), (3.0, 7.0)):
-            model = build_model(
-                p=p, constants=PhysicalConstants(k_singlet=k_s, k_triplet=k_t)
-            )
+            model = build_model(p=p, k_singlet=k_s, k_triplet=k_t)
             for vector in ([3.0, 3.0, 3.0], [6.0, 6.0, 6.0]):
                 u = constant_control(vector, grid, PRISM)
                 for cfg in (FilterConfig(), FilterConfig(enabled=False)):
@@ -367,9 +361,7 @@ class TestIntegrateAdjoint:
         assert np.max(np.abs(adjoint.states)) == 0.0
 
     def test_zero_singlet_rate_gives_zero_adjoint(self):
-        model = build_model(
-            p=1, constants=PhysicalConstants(k_singlet=0.0, k_triplet=10.0)
-        )
+        model = build_model(p=1, k_singlet=0.0, k_triplet=10.0)
         forward = integrate_forward(model, self.fields, self.basis, self.grid)
         adjoint = integrate_adjoint(model, self.fields, forward, self.grid)
         assert np.max(np.abs(adjoint.states)) == 0.0
@@ -406,7 +398,7 @@ class TestIntegrateAdjoint:
         fwd = integrate_forward(model, fields, basis, grid)
         adj = integrate_adjoint(model, fields, fwd, grid)
         phi = switching_function(fwd, adj, model, cfg, grid)
-        grad = 0.5 * (phi.values[:-1] + phi.values[1:])
+        grad = 0.5 * (phi[:-1] + phi[1:])
 
         delta = rng.uniform(-1.0, 1.0, u_vals.shape)
         cos = np.sum(grad * delta) / (

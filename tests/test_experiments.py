@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spinctrl import experiments
-from spinctrl.dynamics import ControlSignal, Prism, TimeGrid, constant_control
+from spinctrl.dynamics import Prism, TimeGrid, constant_control
 from spinctrl.experiments import (
     GRID_SPACING,
     ConfigError,
@@ -89,7 +89,7 @@ class TestGridSpec:
 class TestCompareControls:
     def test_identical_signals(self):
         grid = TimeGrid(1.0, 4)
-        u = constant_control((1.0, 2.0, 3.0), grid, WIDE)
+        u = constant_control((1.0, 2.0, 3.0), grid, WIDE).values
         cmp = compare_controls(u, u, 0.5, 0.5, grid.h)
         assert cmp.rel_ctrl == 0.0
         assert cmp.rel_cost == 0.0
@@ -98,29 +98,21 @@ class TestCompareControls:
     def test_doubling_gives_unit_discrepancy(self):
         rng = np.random.default_rng(5)
         values = rng.uniform(-2.0, 2.0, size=(6, 3))
-        u1 = ControlSignal(values=values, bounds=WIDE)
-        u2 = ControlSignal(values=2.0 * values, bounds=WIDE)
-        cmp = compare_controls(u1, u2, 0.3, 0.3, 0.25)
+        cmp = compare_controls(values, 2.0 * values, 0.3, 0.3, 0.25)
         assert_allclose(cmp.rel_ctrl, 1.0, rtol=1e-12)
         assert cmp.rel_cost == 0.0
 
     def test_two_interval_hand_case(self):
         # diff norm sqrt(0.25*1) = 0.5, reference norm sqrt(0.25*5)
-        u1 = ControlSignal(
-            values=np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]), bounds=WIDE
-        )
-        u2 = ControlSignal(
-            values=np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 0.0]]), bounds=WIDE
-        )
+        u1 = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        u2 = np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 0.0]])
         cmp = compare_controls(u1, u2, 0.2, 0.25, 0.25)
         assert_allclose(cmp.rel_ctrl, 0.5 / np.sqrt(1.25), rtol=1e-12)
         assert_allclose(cmp.rel_cost, 0.25, rtol=1e-12)
 
     def test_zero_reference_reports_absolute_norm(self):
-        u1 = ControlSignal(values=np.zeros((2, 3)), bounds=WIDE)
-        u2 = ControlSignal(
-            values=np.array([[0.0, 3.0, 4.0], [0.0, 3.0, 4.0]]), bounds=WIDE
-        )
+        u1 = np.zeros((2, 3))
+        u2 = np.array([[0.0, 3.0, 4.0], [0.0, 3.0, 4.0]])
         cmp = compare_controls(u1, u2, 0.0, 0.125, 0.5)
         assert cmp.absolute
         assert_allclose(cmp.rel_ctrl, 5.0, rtol=1e-12)
@@ -377,8 +369,8 @@ class TestSweeps:
 
     def test_single_gamma_row_matches_standalone_run(self):
         cfg = replace(FAST, gammas=(1.0,))
-        rows = gamma_sweep(cfg)
-        assert rows.config == cfg  # nothing to resolve
+        config, rows = gamma_sweep(cfg)
+        assert config == cfg  # nothing to resolve
         assert len(rows) == 2
         row, baseline = rows
         assert row.gamma == 1.0
@@ -391,9 +383,9 @@ class TestSweeps:
 
     def test_matched_sweep_hands_back_resolved_config(self):
         cfg = replace(FAST, gammas=(1.0,), v0="matched")
-        rows = gamma_sweep(cfg)
+        config, rows = gamma_sweep(cfg)
         resolved, report = resolve_matched_v0(cfg)
-        assert rows.config == resolved
+        assert config == resolved
         # the no-filter solve of the resolution is the baseline row
         assert rows[-1].cost == report.final_cost
 
@@ -441,6 +433,18 @@ class TestYieldLoss:
         rows, summary = yield_loss_table(cfg, starts=((6.0, 6.0, 3.0),))
         assert rows[0].u0_label == "[6,6,3]"
         assert (1, "[6,6,3]") in summary
+
+    def test_start_outside_prism_rejected_before_solving(self, monkeypatch):
+        """[6,6,2] lies in the signed prism and [6,6,3] does not: the error
+        names the prism keys and that start, and comes before any solve."""
+
+        def no_solve(*args):
+            raise AssertionError("yield-loss solved before checking its starts")
+
+        monkeypatch.setattr(experiments, "run_optimizer", no_solve)
+        cfg = replace(FAST, prism_lower=(3.0, 3.0, -1.0), prism_upper=(6.0, 6.0, 2.0))
+        with pytest.raises(ConfigError, match=r"prism\.upper exclude .* u0=\[6,6,3\]"):
+            yield_loss_table(cfg, starts=((6.0, 6.0, 2.0), (6.0, 6.0, 3.0)))
 
 
 def test_uniqueness_study_structure():

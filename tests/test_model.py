@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from spinctrl.model import (
     GYRO_DEFAULT,
-    PhysicalConstants,
     build_hfi,
     build_model,
     build_recombination,
@@ -20,20 +19,22 @@ A1 = np.array([[-0.234, -0.234, 0.117]])
 
 class TestConstants:
     def test_defaults(self):
-        c = PhysicalConstants()
-        assert c.gyro == pytest.approx(176.0859)
-        assert c.k_singlet == 10.0
-        assert c.k_triplet == 10.0
+        assert GYRO_DEFAULT == pytest.approx(176.0859)
+        model = build_model(p=1)
+        explicit = build_model(p=1, gyro=GYRO_DEFAULT, k_singlet=10.0, k_triplet=10.0)
+        assert model.k_singlet == 10.0
+        assert np.array_equal(model.zeeman, explicit.zeeman)
+        assert np.array_equal(model.k_op, explicit.k_op)
 
     def test_rejects_nonpositive_gyro(self):
         with pytest.raises(ValueError):
-            PhysicalConstants(gyro=0.0)
+            build_model(p=1, gyro=0.0)
 
     def test_rejects_negative_rates(self):
         with pytest.raises(ValueError):
-            PhysicalConstants(k_singlet=-1.0)
+            build_model(p=1, k_singlet=-1.0)
         with pytest.raises(ValueError):
-            PhysicalConstants(k_triplet=-0.5)
+            build_model(p=1, k_triplet=-0.5)
 
 
 class TestHyperfineTable:
@@ -96,9 +97,7 @@ class TestRecombination:
 
 class TestHamiltonianAt:
     def test_zero_field_zero_decay_is_hfi(self):
-        model = build_model(
-            p=1, constants=PhysicalConstants(k_singlet=0.0, k_triplet=0.0)
-        )
+        model = build_model(p=1, k_singlet=0.0, k_triplet=0.0)
         assert_allclose(
             model.hamiltonian_at(np.zeros(3)), model.h_hfi, atol=TOL
         )
@@ -128,7 +127,7 @@ class TestHamiltonianAt:
         def chain(a, b, c):
             return np.kron(np.kron(a, b), c)
 
-        gyro = model.constants.gyro
+        gyro = GYRO_DEFAULT
         s1 = [0.5 * chain(s, e2, e2) for s in paulis]
         s2 = [0.5 * chain(e2, s, e2) for s in paulis]
         nuc = [0.5 * chain(e2, e2, s) for s in paulis]
@@ -182,8 +181,8 @@ class TestTripletStates:
         keep it.
         """
         basis = triplet_states(1)
-        assert basis.states.shape == (8, 6)
-        first = basis.states[:, 0]
+        assert basis.shape == (8, 6)
+        first = basis[:, 0]
         expected = np.zeros(8, dtype=complex)
         expected[2] = expected[4] = 1.0 / np.sqrt(2.0)
         assert_allclose(first, expected, atol=TOL)
@@ -191,33 +190,33 @@ class TestTripletStates:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_orthonormal(self, p):
         basis = triplet_states(p)
-        gram = basis.states.conj().T @ basis.states
-        assert_allclose(gram, np.eye(basis.states.shape[1]), atol=TOL)
+        gram = basis.conj().T @ basis
+        assert_allclose(gram, np.eye(basis.shape[1]), atol=TOL)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_unit_norms(self, p):
         basis = triplet_states(p)
-        norms = np.linalg.norm(basis.states, axis=0)
-        assert_allclose(norms, np.ones(basis.states.shape[1]), atol=TOL)
+        norms = np.linalg.norm(basis, axis=0)
+        assert_allclose(norms, np.ones(basis.shape[1]), atol=TOL)
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_triplet_born(self, p):
         """P_T psi = psi and P_S psi = 0 for every member."""
         sys = build_spin_system(p)
         basis = triplet_states(p)
-        kept = sys.projector_triplet @ basis.states
-        killed = sys.projector_singlet @ basis.states
-        assert np.max(np.abs(kept - basis.states)) <= 1.0e-10
+        kept = sys.projector_triplet @ basis
+        killed = sys.projector_singlet @ basis
+        assert np.max(np.abs(kept - basis)) <= 1.0e-10
         assert np.max(np.abs(killed)) <= 1.0e-10
 
     def test_stretched_states_are_basis_vectors(self):
         basis = triplet_states(1)
         # T+ block: both electrons up
-        assert_allclose(basis.states[0, 2], 1.0, atol=TOL)
-        assert_allclose(basis.states[1, 3], 1.0, atol=TOL)
+        assert_allclose(basis[0, 2], 1.0, atol=TOL)
+        assert_allclose(basis[1, 3], 1.0, atol=TOL)
         # T- block: both electrons down
-        assert_allclose(basis.states[6, 4], 1.0, atol=TOL)
-        assert_allclose(basis.states[7, 5], 1.0, atol=TOL)
+        assert_allclose(basis[6, 4], 1.0, atol=TOL)
+        assert_allclose(basis[7, 5], 1.0, atol=TOL)
 
 
 def test_build_model_shares_system_dimensions():

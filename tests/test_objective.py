@@ -19,7 +19,6 @@ from spinctrl.dynamics import (
 )
 from spinctrl.model import MT_PER_UT, build_model, triplet_states
 from spinctrl.objective import (
-    SwitchingSignal,
     gradient_integrand,
     hp_integral,
     pmp_residual,
@@ -95,7 +94,7 @@ class TestSingletYield:
             grid = TimeGrid(t_final=0.5, steps=steps)
             phases = np.exp(-1j * np.outer(grid.nodes, evals))
             states = np.einsum(
-                "ab,tb,bl->tal", vecs, phases, vinv @ basis.states
+                "ab,tb,bl->tal", vecs, phases, vinv @ basis
             )
             pops = np.einsum(
                 "tal,ab,tbl->t",
@@ -116,7 +115,7 @@ class TestSingletYield:
         rng = np.random.default_rng(13)
         for p in (1, 2):
             problem = make_problem(p=p, steps=100)
-            cap = 10.0 * 0.5 * problem.basis.states.shape[1] / (3.0 * 2 ** (p + 1))
+            cap = 10.0 * 0.5 * problem.basis.shape[1] / (3.0 * 2 ** (p + 1))
             for _ in range(2):
                 u = ControlSignal(
                     values=rng.uniform(3.0, 6.0, (100, 3)), bounds=PRISM
@@ -134,14 +133,14 @@ class TestSwitchingFunction:
         phi = switching_function(
             forward, silent, problem.assembly, problem.filter_cfg, problem.grid
         )
-        assert np.max(np.abs(phi.values)) == 0.0
+        assert np.max(np.abs(phi)) == 0.0
 
     def test_terminal_value_is_exact_zero_when_filtered(self):
         problem = make_problem(steps=50, gamma=5.0)
         u = constant_control([5.0, 4.0, 3.0], problem.grid, PRISM)
         fields, forward, _ = problem.evaluate(u)
         _, phi = problem.gradient(fields, forward)
-        assert np.max(np.abs(phi.values[-1])) == 0.0
+        assert np.max(np.abs(phi[-1])) == 0.0
 
     @pytest.mark.parametrize("gamma", [0.3, 1.0, 10.0, 1.0e-9])
     def test_recursion_matches_vector_loop(self, monkeypatch, gamma):
@@ -157,7 +156,7 @@ class TestSwitchingFunction:
         for k in range(29, -1, -1):
             w[k] = decay * w[k + 1] + a * m[k] + b * m[k + 1]
         phi = switching_function(None, None, None, FilterConfig(gamma=gamma), grid)
-        assert np.array_equal(phi.values, w)
+        assert np.array_equal(phi, w)
 
     def test_no_filter_returns_integrand(self):
         problem = make_problem(steps=50, enabled=False)
@@ -165,7 +164,7 @@ class TestSwitchingFunction:
         fields, forward, _ = problem.evaluate(u)
         adjoint, phi = problem.gradient(fields, forward)
         m = gradient_integrand(forward, adjoint, problem.assembly)
-        assert_allclose(phi.values, m, atol=0)
+        assert_allclose(phi, m, atol=0)
 
     def test_backward_recursion_vs_brute_force_quadrature(self):
         """8-step grid: the O(steps) recursion must match direct adaptive
@@ -193,7 +192,7 @@ class TestSwitchingFunction:
                     epsrel=1e-13,
                     limit=200,
                 )
-                assert abs(gamma * tail - phi.values[k, i]) <= 1.0e-10
+                assert abs(gamma * tail - phi[k, i]) <= 1.0e-10
 
 
 def solved_states(p, steps=40, enabled=True):
@@ -266,7 +265,7 @@ class TestBlockedContractions:
 class TestHpDensity:
     def test_zero_phi(self):
         grid = TimeGrid(t_final=1.0, steps=4)
-        phi = SwitchingSignal(values=np.zeros((5, 3)))
+        phi = np.zeros((5, 3))
         u = constant_control([4.0, 4.0, 4.0], grid, PRISM)
         assert hp_integral(phi, u, grid) == 0.0
 
@@ -276,9 +275,8 @@ class TestHpDensity:
         selects by sign dominates every other prism point."""
         rng = np.random.default_rng(8)
         grid = TimeGrid(t_final=1.0, steps=6)
-        phi_vals = rng.standard_normal((7, 3))
-        phi = SwitchingSignal(values=phi_vals)
-        avg = 0.5 * (phi_vals[:-1] + phi_vals[1:])
+        phi = rng.standard_normal((7, 3))
+        avg = 0.5 * (phi[:-1] + phi[1:])
         best = ControlSignal(
             values=np.where(avg > 0, PRISM.upper, PRISM.lower), bounds=PRISM
         )
@@ -292,9 +290,7 @@ class TestHpDensity:
     def test_hp_integral_hand_case(self):
         """Two intervals, hand-computed trapezoid-in-phi integral."""
         grid = TimeGrid(t_final=1.0, steps=2)
-        phi = SwitchingSignal(
-            values=np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
-        )
+        phi = np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
         u = ControlSignal(
             values=np.array([[4.0, 3.0, 3.0], [6.0, 3.0, 3.0]]), bounds=PRISM
         )
@@ -306,24 +302,22 @@ class TestHpDensity:
 class TestPmpResidual:
     def test_synthesized_control_has_zero_residual(self):
         rng = np.random.default_rng(4)
-        phi_vals = rng.standard_normal((11, 3))
-        phi = SwitchingSignal(values=phi_vals)
-        values = np.where(phi_vals[:-1] > 0, PRISM.upper, PRISM.lower)
+        phi = rng.standard_normal((11, 3))
+        values = np.where(phi[:-1] > 0, PRISM.upper, PRISM.lower)
         u = ControlSignal(values=values, bounds=PRISM)
         assert pmp_residual(phi, u) == 0.0
 
     def test_anti_optimal_vertex_scores_one(self):
         rng = np.random.default_rng(4)
-        phi_vals = rng.standard_normal((11, 3))
-        phi_vals[np.abs(phi_vals) < 0.1] = 0.5  # keep everything decided
-        phi = SwitchingSignal(values=phi_vals)
-        values = np.where(phi_vals[:-1] > 0, PRISM.lower, PRISM.upper)
+        phi = rng.standard_normal((11, 3))
+        phi[np.abs(phi) < 0.1] = 0.5  # keep everything decided
+        values = np.where(phi[:-1] > 0, PRISM.lower, PRISM.upper)
         u = ControlSignal(values=values, bounds=PRISM)
         assert pmp_residual(phi, u) == 1.0
 
     def test_undecided_everywhere_returns_zero(self):
         grid = TimeGrid(t_final=1.0, steps=4)
-        phi = SwitchingSignal(values=np.zeros((5, 3)))
+        phi = np.zeros((5, 3))
         u = constant_control([4.0, 4.0, 4.0], grid, PRISM)
         assert pmp_residual(phi, u) == 0.0
 

@@ -13,15 +13,13 @@ from spinctrl.dynamics import (
     constant_control,
 )
 from spinctrl.experiments import ensemble_bytes
-from spinctrl.model import PhysicalConstants, build_model, triplet_states
-from spinctrl.objective import SwitchingSignal, pmp_residual
+from spinctrl.model import build_model, triplet_states
+from spinctrl.objective import pmp_residual
 from spinctrl.optimize import (
     STATUS_CONVERGED,
     STATUS_MAX_ITERS,
     STATUS_OSCILLATING,
     ControlProblem,
-    GpmSettings,
-    IpmpSettings,
     bb_step,
     control_norm,
     gpm_optimize,
@@ -75,29 +73,29 @@ class SignRuleProblem:
 
     def gradient(self, fields, forward):
         phi = self.phi_of(fields)
-        return None, SwitchingSignal(values=np.vstack([phi, phi[-1:]]))
+        return None, np.vstack([phi, phi[-1:]])
 
 
-# Every exit of both optimizers: case -> (optimizer, settings, status).
+# Every exit of both optimizers: case -> (optimizer, keywords, status).
 EXITS = {
-    "ipmp-converged": (ipmp_optimize, None, STATUS_CONVERGED),
-    "ipmp-maxiters": (ipmp_optimize, IpmpSettings(max_iters=2), STATUS_MAX_ITERS),
-    "ipmp-oscillating": (ipmp_optimize, None, STATUS_OSCILLATING),
-    "gpm-converged": (gpm_optimize, GpmSettings(step_scale=12.0), STATUS_CONVERGED),
-    "gpm-maxiters": (gpm_optimize, GpmSettings(max_iters=3), STATUS_MAX_ITERS),
+    "ipmp-converged": (ipmp_optimize, {}, STATUS_CONVERGED),
+    "ipmp-maxiters": (ipmp_optimize, dict(max_iters=2), STATUS_MAX_ITERS),
+    "ipmp-oscillating": (ipmp_optimize, {}, STATUS_OSCILLATING),
+    "gpm-converged": (gpm_optimize, dict(step_scale=12.0), STATUS_CONVERGED),
+    "gpm-maxiters": (gpm_optimize, dict(max_iters=3), STATUS_MAX_ITERS),
 }
 
 
 def exit_run(case):
-    """(problem, u0, optimizer, settings, status) of a run that leaves
+    """(problem, u0, optimizer, keywords, status) of a run that leaves
     through the exit named by `case`."""
-    optimizer, settings, status = EXITS[case]
+    optimizer, keywords, status = EXITS[case]
     if case == "ipmp-oscillating":
         problem, u0 = cycling_problem()
     else:
         problem = fig1_problem(steps=100)
         u0 = constant_control([3.0, 3.0, 3.0], problem.grid, PRISM)
-    return problem, u0, optimizer, settings, status
+    return problem, u0, optimizer, keywords, status
 
 
 def count_solves(monkeypatch):
@@ -174,7 +172,7 @@ class TestBbStep:
 class TestSynthesize:
     def test_all_positive_gives_upper_bound(self):
         grid = TimeGrid(t_final=1.0, steps=5)
-        phi = SwitchingSignal(values=np.ones((6, 3)))
+        phi = np.ones((6, 3))
         prev = constant_control([4.0, 4.0, 4.0], grid, PRISM)
         out = synthesize_bang_bang(phi, PRISM, prev)
         assert_allclose(out.values, np.tile(PRISM.upper, (5, 1)))
@@ -183,7 +181,7 @@ class TestSynthesize:
         grid = TimeGrid(t_final=1.0, steps=5)
         prev = constant_control([4.0, 5.0, 3.5], grid, PRISM)
         for zero in (0.0, -0.0):  # -0.0 is an exact zero as well
-            phi = SwitchingSignal(values=np.full((6, 3), zero))
+            phi = np.full((6, 3), zero)
             out = synthesize_bang_bang(phi, PRISM, prev)
             assert_allclose(out.values, prev.values)
 
@@ -191,11 +189,10 @@ class TestSynthesize:
         """phi_x decreasing through zero mid-grid: one switch, M then m."""
         grid = TimeGrid(t_final=0.5, steps=10)
         nodes = grid.nodes
-        phi_vals = np.zeros((11, 3))
-        phi_vals[:, 0] = 0.26 - nodes  # positive until t=0.26, negative after
-        phi_vals[:, 1] = 1.0
-        phi_vals[:, 2] = -1.0
-        phi = SwitchingSignal(values=phi_vals)
+        phi = np.zeros((11, 3))
+        phi[:, 0] = 0.26 - nodes  # positive until t=0.26, negative after
+        phi[:, 1] = 1.0
+        phi[:, 2] = -1.0
         prev = constant_control([4.0, 4.0, 4.0], grid, PRISM)
         out = synthesize_bang_bang(phi, PRISM, prev)
         x = out.values[:, 0]
@@ -210,21 +207,19 @@ class TestSynthesize:
 class TestSettingsValidation:
     def test_gpm_settings(self):
         with pytest.raises(ValueError):
-            GpmSettings(max_iters=0)
+            gpm_optimize(None, None, max_iters=0)
         with pytest.raises(ValueError):
-            GpmSettings(step_scale=0.0)
+            gpm_optimize(None, None, step_scale=0.0)
 
     def test_ipmp_settings(self):
         with pytest.raises(ValueError):
-            IpmpSettings(max_iters=0)
+            ipmp_optimize(None, None, max_iters=0)
 
 
 class TestGpm:
     def test_zero_gradient_fixed_point(self):
         """k_S = 0 makes J identically zero: one re-check, control kept."""
-        model = build_model(
-            p=1, constants=PhysicalConstants(k_singlet=0.0, k_triplet=10.0)
-        )
+        model = build_model(p=1, k_singlet=0.0, k_triplet=10.0)
         problem = ControlProblem(
             assembly=model,
             basis=triplet_states(1),
@@ -252,7 +247,7 @@ class TestGpm:
     def test_max_iters_status(self):
         problem = fig1_problem(steps=50)
         u0 = constant_control([4.5, 4.5, 4.5], problem.grid, PRISM)
-        report = gpm_optimize(problem, u0, GpmSettings(max_iters=1))
+        report = gpm_optimize(problem, u0, max_iters=1)
         assert report.status == STATUS_MAX_ITERS
         assert report.iterations == 1
         assert len(report.cost_history) == 2
@@ -260,7 +255,7 @@ class TestGpm:
     def test_cost_history_length_and_feasibility(self):
         problem = fig1_problem(steps=100)
         u0 = constant_control([3.0, 3.0, 3.0], problem.grid, PRISM)
-        report = gpm_optimize(problem, u0, GpmSettings(step_scale=12.0))
+        report = gpm_optimize(problem, u0, step_scale=12.0)
         assert len(report.cost_history) == report.iterations + 1
         assert PRISM.contains(report.final_control.values)
         # ascent overall: final cost at least the starting cost
@@ -329,9 +324,9 @@ class TestGpm:
     def test_one_evaluate_per_iteration(self, monkeypatch, case):
         """One evaluate and one gradient per iterate u^0 .. u^n, the last
         one included, at either exit."""
-        problem, u0, _, settings, status = exit_run(case)
+        problem, u0, _, keywords, status = exit_run(case)
         calls = count_solves(monkeypatch)
-        report = gpm_optimize(problem, u0, settings)
+        report = gpm_optimize(problem, u0, **keywords)
         assert report.status == status
         solves = report.iterations + 1
         assert calls == {"evaluate": solves, "gradient": solves}
@@ -361,7 +356,7 @@ class TestIpmp:
     def test_max_iters_status(self):
         problem = fig1_problem()
         u0 = constant_control([3.0, 3.0, 3.0], problem.grid, PRISM)
-        report = ipmp_optimize(problem, u0, IpmpSettings(max_iters=1))
+        report = ipmp_optimize(problem, u0, max_iters=1)
         assert report.status == STATUS_MAX_ITERS
         assert report.iterations == 1
         assert len(report.cost_history) == 2
@@ -436,15 +431,15 @@ def test_report_matches_final_control(case):
     """At every exit the reported field, cost and switching signal are
     those of the reported control, bit for bit; an oscillating run reports
     its best cycle member from that member's own solve."""
-    problem, u0, optimizer, settings, status = exit_run(case)
-    report = optimizer(problem, u0, settings)
+    problem, u0, optimizer, keywords, status = exit_run(case)
+    report = optimizer(problem, u0, **keywords)
     assert report.status == status
     fields, forward, cost = problem.evaluate(report.final_control)
     _, phi = problem.gradient(fields, forward)
     assert np.array_equal(report.final_field.node_values, fields.node_values)
     assert np.array_equal(report.final_field.midpoint_values, fields.midpoint_values)
     assert report.final_cost == cost
-    assert np.array_equal(report.final_switching.values, phi.values)
+    assert np.array_equal(report.final_switching, phi)
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -466,11 +461,11 @@ def test_gpm_and_ipmp_agree(p):
 
 
 @pytest.mark.parametrize(
-    "optimizer, settings",
-    [(ipmp_optimize, None), (gpm_optimize, GpmSettings(max_iters=2))],
+    "optimizer, keywords",
+    [(ipmp_optimize, {}), (gpm_optimize, dict(max_iters=2))],
     ids=["ipmp", "gpm"],
 )
-def test_run_peaks_at_its_two_ensembles(optimizer, settings):
+def test_run_peaks_at_its_two_ensembles(optimizer, keywords):
     """At p = 4 on 200 steps a run holds its forward and adjoint ensembles
     (ensemble_bytes) and nothing else of their size: an adjoint kept from
     the last iterate through the next solve would read about 1.6x."""
@@ -478,7 +473,7 @@ def test_run_peaks_at_its_two_ensembles(optimizer, settings):
     u0 = constant_control([3.0, 3.0, 3.0], problem.grid, PRISM)
     tracemalloc.start()
     try:
-        optimizer(problem, u0, settings)
+        optimizer(problem, u0, **keywords)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
