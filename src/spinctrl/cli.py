@@ -250,10 +250,14 @@ def _read_run(run_dir):
     if values.shape[1:] != (3,) or not np.isfinite(values).all():  # no rows: (0,)
         raise ConfigError(f"{control_path} must hold rows of t and 3 finite numbers")
     with open(report_path) as fh:
-        report = json.load(fh)
-    if "final_cost" not in report:
-        raise ConfigError(f"{report_path} has no final_cost entry")
-    return values, float(report["final_cost"])
+        try:  # any JSON number, however long, reads as a float
+            report = json.load(fh, parse_int=float)
+        except ValueError:  # not JSON
+            report = None
+    cost = report.get("final_cost") if isinstance(report, dict) else None
+    if type(cost) is not float or not np.isfinite(cost):
+        raise ConfigError(f"{report_path} must hold a finite number as final_cost")
+    return values, cost
 
 
 def cmd_compare(args):

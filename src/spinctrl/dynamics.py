@@ -36,15 +36,30 @@ stage generators drift + v . Z come from one tensordot over the stacked
 field samples (node and midpoint values when filtered, one value per
 interval in no-filter mode), and the adjoint's singlet sources P_S psi at
 the nodes and P_S (psi_l + psi_r)/2 at the midpoints from one stacked
-matmul.  A block holds as many steps as keep one (steps, n, n) complex
-generator stack within BLOCK_BYTES (at least one step), so memory does not
-grow with the grid or with p.  The guard runs once per block and names the
-first node, in integration order, that passed its bound.
+matmul.  Up to STEP_MATRIX_DIM (p <= 2), where numpy's per-call overhead
+rather than flops binds the stage loop, each step is first folded into one
+matrix S = I + (h/6)(K1 + 2 K2 + 2 K3 + K4), with K1 = G_l,
+K2 = G_m (I + h/2 K1), K3 = G_m (I + h/2 K2), K4 = G_r (I + h K3) and
+G = -i H, by batched matmuls over the block; a state step is then one
+matmul.  The costate's matrix comes the same way with the signed step -h;
+its sources do not depend on it, so their affine part is the RK4 sweep
+from zero for the whole block, and a costate step is one matmul and one
+add.  A matrix costs about 3 n^3 flops against 3 n^2 per state for the
+stages, so larger n keeps the stage loop.
 
-The blocked form must reproduce the step-by-step one bit for bit, so the
-arithmetic of each step is kept exactly: the stacked tensordot and matmul
-give the same rows as one-row calls, coef is applied to H @ psi rather
-than folded into H, and the stage combinations keep their order.
+A block holds as many steps as keep one (steps, n, n) complex stack within
+BLOCK_BYTES (BLOCK_BYTES / 8 for step matrices; at least one step), so
+memory does not grow with the grid or with p.  The guard runs once per
+block and names the first node, in integration order, that passed its
+bound.
+
+Neither form may depend on the block size, bit for bit: the stacked
+tensordot and matmuls give the same rows as one-row calls.  The stage loop
+also keeps the arithmetic of the step-by-step scheme exactly: coef is
+applied to H @ psi rather than folded into H, and the stage combinations
+keep their order.  The step matrices are the same scheme, with the same
+stage samples and sources, in another floating-point order, so they agree
+with the stage loop to rounding.
 """
 
 from __future__ import annotations
@@ -65,6 +80,10 @@ NORM_SLACK = 1.0e-9
 # benchmark, 64 KiB and 512 KiB to 1 MiB blocks raised peak RSS by 5-8%
 # over step-by-step generators, 256 KiB did not.
 BLOCK_BYTES = 1 << 18
+# Largest state dimension (p <= 2) whose RK4 steps are folded into
+# matrices: at p = 3 the two forms tied, at p = 4 and 5 the step matrices
+# were 12-100% slower than the stage loop.
+STEP_MATRIX_DIM = 16
 
 
 class IntegrationOverflow(RuntimeError):
@@ -258,6 +277,14 @@ def _blocks(rows, row_bytes):
     return [(k, min(k + size, rows)) for k in range(0, rows, size)]
 
 
+def _step_blocks(dim, steps):
+    """(whether steps are folded into matrices, block ranges over the grid).
+    Forming the step matrices holds about eight (steps, n, n) stacks at
+    once, so each is capped at BLOCK_BYTES / 8."""
+    folded = dim <= STEP_MATRIX_DIM
+    return folded, _blocks(steps, (128 if folded else 16) * dim**2)
+
+
 def _stage_generators(drift, zeeman, fields, start, stop):
     """(left, mid, right) RK4 stage generators drift + v . Z of steps
     start..stop-1, each (stop - start, n, n), from one tensordot per set of
@@ -271,6 +298,16 @@ def _stage_generators(drift, zeeman, fields, start, stop):
         fields.node_values[start : stop + 1] * MT_PER_UT, zeeman, axes=1
     )
     return nodes[:-1], mid, nodes[1:]
+
+
+def _rk4_block(mid, last, step, y, k1, src_mid=0.0, src_last=0.0):
+    """One RK4 step on dy/dt = G y + b for every step of a block at once,
+    given its first stage k1.  y = I and k1 = G_first give the step
+    matrices; y = 0 and k1 = b_first the affine part the sources add."""
+    k2 = mid @ (y + 0.5 * step * k1) + src_mid
+    k3 = mid @ (y + 0.5 * step * k2) + src_mid
+    k4 = last @ (y + step * k3) + src_last
+    return y + step / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
 @dataclass(frozen=True)
@@ -290,24 +327,30 @@ def integrate_forward(
     h = grid.h
     half_h, sixth_h = 0.5 * h, h / 6.0
     coef = -1.0j
-    drift = assembly.h_hfi - 1.0j * assembly.k_op
-    psi = basis.astype(complex)
-    out = np.empty((grid.steps + 1,) + psi.shape, dtype=complex)
-    out[0] = psi
-    bound = np.linalg.norm(psi, axis=0) * (1.0 + NORM_SLACK)
+    drift, zeeman = assembly.h_hfi - 1.0j * assembly.k_op, assembly.zeeman
+    out = np.empty((grid.steps + 1,) + basis.shape, dtype=complex)
+    out[0] = basis
+    bound = np.linalg.norm(out[0], axis=0) * (1.0 + NORM_SLACK)
+    folded, blocks = _step_blocks(assembly.dim, grid.steps)
+    if folded:  # the step matrices are built from the generators -i H
+        drift, zeeman, eye = coef * drift, coef * zeeman, np.eye(assembly.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, stop in _blocks(grid.steps, 16 * assembly.dim**2):
-            left, mid, right = _stage_generators(
-                drift, assembly.zeeman, fields, start, stop
-            )
-            for j in range(stop - start):
-                h_mid = mid[j]
-                k1 = coef * (left[j] @ psi)
-                k2 = coef * (h_mid @ (psi + half_h * k1))
-                k3 = coef * (h_mid @ (psi + half_h * k2))
-                k4 = coef * (right[j] @ (psi + h * k3))
-                psi = psi + sixth_h * (k1 + 2.0 * (k2 + k3) + k4)
-                out[start + j + 1] = psi
+        for start, stop in blocks:
+            left, mid, right = _stage_generators(drift, zeeman, fields, start, stop)
+            if folded:
+                maps = _rk4_block(mid, right, h, eye, left)
+                for j in range(start, stop):
+                    np.matmul(maps[j - start], out[j], out=out[j + 1])
+            else:
+                psi = out[start]
+                for j in range(stop - start):
+                    h_mid = mid[j]
+                    k1 = coef * (left[j] @ psi)
+                    k2 = coef * (h_mid @ (psi + half_h * k1))
+                    k3 = coef * (h_mid @ (psi + half_h * k2))
+                    k4 = coef * (right[j] @ (psi + h * k3))
+                    psi = psi + sixth_h * (k1 + 2.0 * (k2 + k3) + k4)
+                    out[start + j + 1] = psi
             norms = np.linalg.norm(out[start + 1 : stop + 1], axis=1)
             _check_amplitude(norms, bound, start + 1, h)
     return StateEnsemble(states=out)
@@ -331,28 +374,40 @@ def integrate_adjoint(
     half_h, sixth_h = 0.5 * h, h / 6.0
     coef = -1.0j
     src_coef = -assembly.k_singlet / 2.0
-    drift = assembly.h_hfi + 1.0j * assembly.k_op
+    drift, zeeman = assembly.h_hfi + 1.0j * assembly.k_op, assembly.zeeman
     p_s = assembly.projector_singlet
-    chi = np.zeros_like(forward.states[0])
     out = np.empty_like(forward.states)
-    out[-1] = chi
+    out[-1] = 0.0
+    folded, blocks = _step_blocks(assembly.dim, grid.steps)
+    if folded:  # the step matrices are built from the generators -i H*
+        drift, zeeman, eye = coef * drift, coef * zeeman, np.eye(assembly.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, stop in reversed(_blocks(grid.steps, 16 * assembly.dim**2)):
-            left, mid, right = _stage_generators(
-                drift, assembly.zeeman, fields, start, stop
-            )
+        for start, stop in reversed(blocks):
+            left, mid, right = _stage_generators(drift, zeeman, fields, start, stop)
             psi = forward.states[start : stop + 1]
             src_node = src_coef * (p_s @ psi)
             src_mid = src_coef * (p_s @ (0.5 * (psi[:-1] + psi[1:])))
-            for j in range(stop - start - 1, -1, -1):
-                h_mid = mid[j]
-                src_m = src_mid[j]
-                k1 = coef * (right[j] @ chi) + src_node[j + 1]
-                k2 = coef * (h_mid @ (chi - half_h * k1)) + src_m
-                k3 = coef * (h_mid @ (chi - half_h * k2)) + src_m
-                k4 = coef * (left[j] @ (chi - h * k3)) + src_node[j]
-                chi = chi - sixth_h * (k1 + 2.0 * (k2 + k3) + k4)
-                out[start + j] = chi
+            if folded:
+                # chi(t_j) = R_j chi(t_j+1) + c_j: the sources do not depend
+                # on chi, so every c_j is the sweep of one step from chi = 0.
+                maps = _rk4_block(mid, left, -h, eye, right)
+                shifts = _rk4_block(
+                    mid, left, -h, 0.0, src_node[1:], src_mid, src_node[:-1]
+                )
+                for j in range(stop - 1, start - 1, -1):
+                    np.matmul(maps[j - start], out[j + 1], out=out[j])
+                    out[j] += shifts[j - start]
+            else:
+                chi = out[stop]
+                for j in range(stop - start - 1, -1, -1):
+                    h_mid = mid[j]
+                    src_m = src_mid[j]
+                    k1 = coef * (right[j] @ chi) + src_node[j + 1]
+                    k2 = coef * (h_mid @ (chi - half_h * k1)) + src_m
+                    k3 = coef * (h_mid @ (chi - half_h * k2)) + src_m
+                    k4 = coef * (left[j] @ (chi - h * k3)) + src_node[j]
+                    chi = chi - sixth_h * (k1 + 2.0 * (k2 + k3) + k4)
+                    out[start + j] = chi
             peaks = np.abs(out[start:stop]).max(axis=1)
             _check_amplitude(peaks, OVERFLOW_LIMIT, start, h, backward=True)
     return StateEnsemble(states=out)

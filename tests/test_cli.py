@@ -599,6 +599,19 @@ def test_strict_maxiters_exits_3(tmp_path, command, patches):
     assert main(args) == 0  # without --strict the cap is only reported
 
 
+# report.json texts that hold no finite numeric final_cost
+MALFORMED_REPORTS = {
+    "list": '{"final_cost": [1]}',
+    "nan": '{"final_cost": NaN}',
+    "not-json": "nope",
+    "not-an-object": "[1]",
+    "missing": "{}",
+    "string": '{"final_cost": "0.1"}',
+    "bool": '{"final_cost": true}',
+    "overflowing-int": '{"final_cost": 1' + "0" * 400 + "}",
+}
+
+
 class TestCompareCommand:
     def _run(self, tmp_path, name, document):
         path = _write_config(tmp_path, document, name=f"{name}.json")
@@ -638,6 +651,21 @@ class TestCompareCommand:
         capsys.readouterr()
         assert main(["compare", run_a, run_b]) == 1
         assert control in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        list(MALFORMED_REPORTS.values()),
+        ids=list(MALFORMED_REPORTS),
+    )
+    def test_malformed_report_exits_1_naming_it(self, text, tmp_path, capsys):
+        run_a = self._run(tmp_path, "a", {"steps": 50})
+        run_b = self._run(tmp_path, "b", {"steps": 50})
+        report = os.path.join(run_b, "report.json")
+        with open(report, "w") as fh:
+            fh.write(text)
+        capsys.readouterr()
+        assert main(["compare", run_a, run_b]) == 1
+        assert report in capsys.readouterr().err
 
 
 # Per run command: the overrides of a small, fast run; an unread key at its

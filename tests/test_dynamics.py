@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from spinctrl.dynamics import (
 )
 from spinctrl.model import MT_PER_UT, build_model, triplet_states
 from spinctrl.objective import singlet_yield, switching_function
+from spinctrl.optimize import ControlProblem, ipmp_optimize
 
 PRISM = Prism(lower=np.array([3.0, 3.0, 3.0]), upper=np.array([6.0, 6.0, 6.0]))
 WIDE = Prism(lower=np.full(3, -1.0e7), upper=np.full(3, 1.0e7))
@@ -435,7 +437,8 @@ class TestIntegrateAdjoint:
 
 class TestBlocking:
     """Stage generators and sources are built per block of steps; the
-    block size must not change a single bit of the states."""
+    block size must not change a single bit of the states, in either form
+    of the integrators."""
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("enabled", [True, False])
@@ -446,18 +449,25 @@ class TestBlocking:
         rng = np.random.default_rng(8)
         u = ControlSignal(values=rng.uniform(3.0, 6.0, (50, 3)), bounds=PRISM)
         fields = filter_field(u, FilterConfig(gamma=4.0, enabled=enabled), grid)
-        step_bytes = 16 * model.dim**2
-        results = []
-        # one step per block (the step-by-step reference), 3 steps (50 is
-        # not a multiple of 3), the whole grid
-        for block_bytes in (1, 3 * step_bytes, 1 << 40):
-            monkeypatch.setattr(dynamics, "BLOCK_BYTES", block_bytes)
-            forward = integrate_forward(model, fields, basis, grid)
-            adjoint = integrate_adjoint(model, fields, forward, grid)
-            results.append((forward.states, adjoint.states))
-        for forward, adjoint in results[1:]:
-            assert np.array_equal(forward, results[0][0])
-            assert np.array_equal(adjoint, results[0][1])
+        for folded in (False, True):
+            monkeypatch.setattr(
+                dynamics, "STEP_MATRIX_DIM", model.dim if folded else 0
+            )
+            # the step matrices' stack is capped at BLOCK_BYTES / 8
+            stack_bytes = 16 * model.dim**2 * (8 if folded else 1)
+            results = []
+            # one step per block (the step-by-step reference), 3 steps (50 is
+            # not a multiple of 3), the whole grid
+            for block_bytes, size in ((1, 1), (3 * stack_bytes, 3), (1 << 40, 50)):
+                monkeypatch.setattr(dynamics, "BLOCK_BYTES", block_bytes)
+                fold, blocks = dynamics._step_blocks(model.dim, 50)
+                assert fold == folded and blocks[0] == (0, size)
+                forward = integrate_forward(model, fields, basis, grid)
+                adjoint = integrate_adjoint(model, fields, forward, grid)
+                results.append((forward.states, adjoint.states))
+            for forward, adjoint in results[1:]:
+                assert np.array_equal(forward, results[0][0])
+                assert np.array_equal(adjoint, results[0][1])
 
     def test_blocks_cover_grid_within_byte_cap(self, monkeypatch):
         monkeypatch.setattr(dynamics, "BLOCK_BYTES", 3 * 16 * 8 * 8)
@@ -466,3 +476,83 @@ class TestBlocking:
         assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
         monkeypatch.setattr(dynamics, "BLOCK_BYTES", 1)
         assert dynamics._blocks(4, 16 * 8 * 8) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+    def test_steps_fold_into_matrices_up_to_p2(self):
+        folded = [dynamics._step_blocks(build_model(p=p).dim, 10)[0] for p in range(1, 5)]
+        assert folded == [True, True, False, False]
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_transient_memory_within_two_blocks(self, p, enabled):
+        """Beyond the ensemble it returns, an integrator holds at most a
+        few step-matrix stacks and one block of sources at a time."""
+        model = build_model(p=p)
+        grid = make_grid(200)
+        u = ControlSignal(
+            values=np.random.default_rng(3).uniform(3.0, 6.0, (200, 3)),
+            bounds=PRISM,
+        )
+        fields = filter_field(u, FilterConfig(enabled=enabled), grid)
+        basis = triplet_states(p)
+        forward = integrate_forward(model, fields, basis, grid)
+        for integrate, source in ((integrate_forward, basis),
+                                  (integrate_adjoint, forward)):
+            tracemalloc.start()
+            try:
+                integrate(model, fields, source, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - forward.states.nbytes < 2 * dynamics.BLOCK_BYTES
+
+
+class TestStepMatrices:
+    """At p <= 2 each RK4 step is one matrix (plus, for the costate, one
+    affine shift): the same scheme as the stage loop in another
+    floating-point order."""
+
+    @staticmethod
+    def solve(monkeypatch, folded, p, enabled):
+        monkeypatch.setattr(dynamics, "STEP_MATRIX_DIM", 1 << 20 if folded else 0)
+        model = build_model(p=p)
+        grid = make_grid(120)
+        u = ControlSignal(
+            values=np.random.default_rng(p).uniform(3.0, 6.0, (120, 3)),
+            bounds=PRISM,
+        )
+        cfg = FilterConfig(gamma=4.0, enabled=enabled)
+        fields = filter_field(u, cfg, grid)
+        forward = integrate_forward(model, fields, triplet_states(p), grid)
+        adjoint = integrate_adjoint(model, fields, forward, grid)
+        cost = singlet_yield(forward, model, grid)
+        phi = switching_function(forward, adjoint, model, cfg, grid)
+        return forward.states, adjoint.states, np.array(cost), phi
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_forms_agree(self, monkeypatch, p, enabled):
+        stages = self.solve(monkeypatch, False, p, enabled)
+        matrices = self.solve(monkeypatch, True, p, enabled)
+        for a, b in zip(stages, matrices):
+            assert np.max(np.abs(b - a)) <= 1.0e-13 * np.max(np.abs(a))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_ipmp_controls_equal(self, monkeypatch, p):
+        problem = ControlProblem(
+            assembly=build_model(p=p), basis=triplet_states(p), grid=make_grid(200),
+            prism=PRISM, filter_cfg=FilterConfig(gamma=1.0),
+        )
+        u0 = constant_control([3.0, 3.0, 3.0], problem.grid, PRISM)
+        reports = []
+        for folded in (False, True):
+            monkeypatch.setattr(
+                dynamics, "STEP_MATRIX_DIM", 1 << 20 if folded else 0
+            )
+            reports.append(ipmp_optimize(problem, u0, max_iters=4))
+        stages, matrices = reports
+        assert (matrices.status, matrices.iterations) == (
+            stages.status, stages.iterations
+        )
+        assert np.array_equal(
+            matrices.final_control.values, stages.final_control.values
+        )
