@@ -32,20 +32,22 @@ grow, so the adjoint sweep stops where an amplitude passes OVERFLOW_LIMIT.
 
 Only the state recursion runs step by step.  Everything that does not
 depend on the running state is built for a block of steps at once: the
-stage generators drift + v . Z come from one tensordot over the stacked
-field samples (node and midpoint values when filtered, one value per
-interval in no-filter mode), and the adjoint's singlet sources P_S psi at
-the nodes and P_S (psi_l + psi_r)/2 at the midpoints from one stacked
-matmul.  Up to STEP_MATRIX_DIM (p <= 2), where numpy's per-call overhead
-rather than flops binds the stage loop, each step is first folded into one
+stage generators G = -i (drift + v . Z), with the drift H_hfi -/+ iK of
+ModelAssembly.drift and -i folded into it and into Z once per call, come
+from one tensordot over the stacked field samples (node and midpoint
+values when filtered, one value per interval in no-filter mode), and the
+adjoint's singlet sources P_S psi at the nodes and P_S (psi_l + psi_r)/2 at
+the midpoints from one stacked matmul.  One RK4 step, _rk4, serves both
+forms and both directions; the costate steps by -h.  Up to STEP_MATRIX_DIM
+(p <= 2), where numpy's per-call overhead rather than flops binds the
+stage loop, it runs once per block from y = I, folding each step into one
 matrix S = I + (h/6)(K1 + 2 K2 + 2 K3 + K4), with K1 = G_l,
-K2 = G_m (I + h/2 K1), K3 = G_m (I + h/2 K2), K4 = G_r (I + h K3) and
-G = -i H, by batched matmuls over the block; a state step is then one
-matmul.  The costate's matrix comes the same way with the signed step -h;
-its sources do not depend on it, so their affine part is the RK4 sweep
-from zero for the whole block, and a costate step is one matmul and one
-add.  A matrix costs about 3 n^3 flops against 3 n^2 per state for the
-stages, so larger n keeps the stage loop.
+K2 = G_m (I + h/2 K1), K3 = G_m (I + h/2 K2), K4 = G_r (I + h K3); a state
+step is then one matmul.  The costate's sources do not depend on it, so
+their affine part is the same step from y = 0, and a costate step is one
+matmul and one add.  A matrix costs about 3 n^3 flops against 3 n^2 per
+state for the stages, so larger n keeps the stage loop, which takes the
+step once per node from the running state.
 
 A block holds as many steps as keep one (steps, n, n) complex stack within
 BLOCK_BYTES (BLOCK_BYTES / 8 for step matrices; at least one step), so
@@ -54,12 +56,9 @@ block and names the first node, in integration order, that passed its
 bound.
 
 Neither form may depend on the block size, bit for bit: the stacked
-tensordot and matmuls give the same rows as one-row calls.  The stage loop
-also keeps the arithmetic of the step-by-step scheme exactly: coef is
-applied to H @ psi rather than folded into H, and the stage combinations
-keep their order.  The step matrices are the same scheme, with the same
-stage samples and sources, in another floating-point order, so they agree
-with the stage loop to rounding.
+tensordot and matmuls give the same rows as one-row calls.  The step
+matrices are the same scheme, with the same stage samples and sources, in
+another floating-point order, so they agree with the stage loop to rounding.
 """
 
 from __future__ import annotations
@@ -300,10 +299,11 @@ def _stage_generators(drift, zeeman, fields, start, stop):
     return nodes[:-1], mid, nodes[1:]
 
 
-def _rk4_block(mid, last, step, y, k1, src_mid=0.0, src_last=0.0):
-    """One RK4 step on dy/dt = G y + b for every step of a block at once,
-    given its first stage k1.  y = I and k1 = G_first give the step
-    matrices; y = 0 and k1 = b_first the affine part the sources add."""
+def _rk4(mid, last, step, y, k1, src_mid=0.0, src_last=0.0):
+    """One RK4 step by signed `step` on dy/dt = G y + b from y, given its
+    first stage k1; G, b are mid, src_mid at the midpoint and last, src_last
+    at the far end.  Batched: y = I and k1 = G give step matrices, y = 0 and
+    k1 = b their sources' shifts, a state and its k1 one stage-loop step."""
     k2 = mid @ (y + 0.5 * step * k1) + src_mid
     k3 = mid @ (y + 0.5 * step * k2) + src_mid
     k4 = last @ (y + step * k3) + src_last
@@ -325,32 +325,23 @@ def integrate_forward(
 ):
     """Propagate each triplet-born state (column of basis) with RK4."""
     h = grid.h
-    half_h, sixth_h = 0.5 * h, h / 6.0
-    coef = -1.0j
-    drift, zeeman = assembly.h_hfi - 1.0j * assembly.k_op, assembly.zeeman
+    drift, zeeman = -1.0j * assembly.drift(), -1.0j * assembly.zeeman
     out = np.empty((grid.steps + 1,) + basis.shape, dtype=complex)
     out[0] = basis
     bound = np.linalg.norm(out[0], axis=0) * (1.0 + NORM_SLACK)
     folded, blocks = _step_blocks(assembly.dim, grid.steps)
-    if folded:  # the step matrices are built from the generators -i H
-        drift, zeeman, eye = coef * drift, coef * zeeman, np.eye(assembly.dim)
+    eye = np.eye(assembly.dim)
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop in blocks:
             left, mid, right = _stage_generators(drift, zeeman, fields, start, stop)
             if folded:
-                maps = _rk4_block(mid, right, h, eye, left)
+                maps = _rk4(mid, right, h, eye, left)
                 for j in range(start, stop):
                     np.matmul(maps[j - start], out[j], out=out[j + 1])
             else:
-                psi = out[start]
-                for j in range(stop - start):
-                    h_mid = mid[j]
-                    k1 = coef * (left[j] @ psi)
-                    k2 = coef * (h_mid @ (psi + half_h * k1))
-                    k3 = coef * (h_mid @ (psi + half_h * k2))
-                    k4 = coef * (right[j] @ (psi + h * k3))
-                    psi = psi + sixth_h * (k1 + 2.0 * (k2 + k3) + k4)
-                    out[start + j + 1] = psi
+                for j in range(start, stop):
+                    k = j - start
+                    out[j + 1] = _rk4(mid[k], right[k], h, out[j], left[k] @ out[j])
             norms = np.linalg.norm(out[start + 1 : stop + 1], axis=1)
             _check_amplitude(norms, bound, start + 1, h)
     return StateEnsemble(states=out)
@@ -371,16 +362,13 @@ def integrate_adjoint(
     if forward.states.shape[0] != grid.steps + 1:
         raise ValueError("forward trajectory does not match the grid")
     h = grid.h
-    half_h, sixth_h = 0.5 * h, h / 6.0
-    coef = -1.0j
     src_coef = -assembly.k_singlet / 2.0
-    drift, zeeman = assembly.h_hfi + 1.0j * assembly.k_op, assembly.zeeman
+    drift, zeeman = -1.0j * assembly.drift(adjoint=True), -1.0j * assembly.zeeman
     p_s = assembly.projector_singlet
     out = np.empty_like(forward.states)
     out[-1] = 0.0
     folded, blocks = _step_blocks(assembly.dim, grid.steps)
-    if folded:  # the step matrices are built from the generators -i H*
-        drift, zeeman, eye = coef * drift, coef * zeeman, np.eye(assembly.dim)
+    eye = np.eye(assembly.dim)
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop in reversed(blocks):
             left, mid, right = _stage_generators(drift, zeeman, fields, start, stop)
@@ -390,24 +378,18 @@ def integrate_adjoint(
             if folded:
                 # chi(t_j) = R_j chi(t_j+1) + c_j: the sources do not depend
                 # on chi, so every c_j is the sweep of one step from chi = 0.
-                maps = _rk4_block(mid, left, -h, eye, right)
-                shifts = _rk4_block(
-                    mid, left, -h, 0.0, src_node[1:], src_mid, src_node[:-1]
-                )
+                maps = _rk4(mid, left, -h, eye, right)
+                shifts = _rk4(mid, left, -h, 0.0, src_node[1:], src_mid, src_node[:-1])
                 for j in range(stop - 1, start - 1, -1):
                     np.matmul(maps[j - start], out[j + 1], out=out[j])
                     out[j] += shifts[j - start]
             else:
-                chi = out[stop]
-                for j in range(stop - start - 1, -1, -1):
-                    h_mid = mid[j]
-                    src_m = src_mid[j]
-                    k1 = coef * (right[j] @ chi) + src_node[j + 1]
-                    k2 = coef * (h_mid @ (chi - half_h * k1)) + src_m
-                    k3 = coef * (h_mid @ (chi - half_h * k2)) + src_m
-                    k4 = coef * (left[j] @ (chi - h * k3)) + src_node[j]
-                    chi = chi - sixth_h * (k1 + 2.0 * (k2 + k3) + k4)
-                    out[start + j] = chi
+                for j in range(stop - 1, start - 1, -1):
+                    k = j - start
+                    k1 = right[k] @ out[j + 1] + src_node[k + 1]
+                    out[j] = _rk4(
+                        mid[k], left[k], -h, out[j + 1], k1, src_mid[k], src_node[k]
+                    )
             peaks = np.abs(out[start:stop]).max(axis=1)
             _check_amplitude(peaks, OVERFLOW_LIMIT, start, h, backward=True)
     return StateEnsemble(states=out)

@@ -379,6 +379,9 @@ def config_from_dict(data, command=None):
         if not reads(command, row[0]) and value != default[row]:
             why = "so it must be left at its default"
             raise ConfigError(f"config key {row[0]} is not read by {command}, {why}")
+    if config.v0 == "matched" and not config.filter_enabled:
+        why = "the no-filter model never reads v0"
+        raise ConfigError(f'config key filter.v0 "matched" needs filter.enabled, {why}')
     for key, protons in (("p", p), ("sweep.p_max", config.p_max)):
         need = ensemble_bytes(protons, steps)
         if reads(command, key) and need > MAX_ENSEMBLE_BYTES:

@@ -113,10 +113,13 @@ class ModelAssembly:
         v_mt = np.asarray(v_mt, dtype=float)
         if v_mt.shape != (3,):
             raise ValueError(f"field must be a 3-vector, got shape {v_mt.shape}")
-        h = np.tensordot(v_mt, self.zeeman, axes=1) + self.h_hfi
-        if adjoint:
-            return h + 1j * self.k_op
-        return h - 1j * self.k_op
+        return np.tensordot(v_mt, self.zeeman, axes=1) + self.drift(adjoint)
+
+    def drift(self, adjoint=False):
+        """Field-free part of the generator: H_hfi - iK, or with
+        adjoint=True the costate's H_hfi + iK."""
+        recombination = 1j * self.k_op
+        return self.h_hfi + recombination if adjoint else self.h_hfi - recombination
 
 
 def build_model(p=1, gyro=GYRO_DEFAULT, k_singlet=10.0, k_triplet=10.0, hyperfine=None):

@@ -257,6 +257,19 @@ class TestOptimizeCommand:
         assert main(args) == 1
         assert "config key u0.vector" in capsys.readouterr().err
 
+    def test_matched_v0_without_filter_exits_1_before_solving(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_solve(*args):
+            raise AssertionError("optimize solved before checking filter.v0")
+
+        monkeypatch.setattr(experiments, "run_optimizer", no_solve)
+        args = ["optimize", "--out", str(tmp_path / "res")]
+        for patch in ("filter.enabled=false", "filter.v0=matched", "steps=20"):
+            args += ["--override", patch]
+        assert main(args) == 1
+        assert "config key filter.v0" in capsys.readouterr().err
+
     def test_overflow_exits_2(self, tmp_path, capsys):
         path = _write_config(
             tmp_path,

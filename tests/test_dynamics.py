@@ -440,7 +440,7 @@ class TestBlocking:
     block size must not change a single bit of the states, in either form
     of the integrators."""
 
-    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("enabled", [True, False])
     def test_states_independent_of_block_size(self, monkeypatch, p, enabled):
         model = build_model(p=p)

@@ -175,6 +175,14 @@ class TestConfigDocument:
         with pytest.raises(ConfigError, match="matched"):
             config_from_dict({"filter": {"v0": "auto"}})
 
+    def test_matched_v0_needs_filter(self):
+        """The no-filter model never reads v0, so "matched" there would only
+        solve the no-filter twin a second time."""
+        document = {"filter": {"enabled": False, "v0": "matched"}}
+        for command in (None, "simulate", "optimize", "grid-study"):
+            with pytest.raises(ConfigError, match=r"filter\.v0 \"matched\""):
+                config_from_dict(document, command)
+
     def test_u0_values_shape_checked(self):
         with pytest.raises(ConfigError, match=r"u0\.values"):
             config_from_dict({"steps": 4, "u0": {"values": [[3.0, 3.0, 3.0]]}})
