@@ -37,7 +37,7 @@ split = nofilter.family_split
 print(f"no filter: {nofilter.classification}; the two grid families land on")
 print(f"distinct controls, relative L2 gap {split.rel_ctrl:.3f}, while the")
 print(f"costs differ by only {split.rel_cost:.2e}")
-print(f"statuses: {sorted(set(nofilter.statuses))} "
+print(f"statuses: {sorted({r.status for r in nofilter.reports})} "
       "(the iteration bounces between twins; the best member is kept)")
 
 print()

@@ -223,17 +223,16 @@ def cmd_grid_study(config, args):
             "rel_ctrl": study.family_split.rel_ctrl,
             "rel_cost": study.family_split.rel_cost,
         },
-        "statuses": list(study.statuses),
-        "costs": [float(c) for c in study.costs],
     }
-    runs = zip(range(len(study.costs)), study.statuses, study.costs)
+    capped = any(r.status == STATUS_MAX_ITERS for r in study.reports)
+    runs = [(i, r.status, r.final_cost) for i, r in enumerate(study.reports)]
     files = {"report.json": report, "runs.csv": (("index", "status", "J"), runs)}
     line = (
         f"grid-study: classification={study.classification} "
         f"max_ctrl={study.max_pairwise_ctrl:.6f} "
         f"max_cost={study.max_pairwise_cost:.3e}"
     )
-    return study.config, files, [line], STATUS_MAX_ITERS in study.statuses
+    return study.config, files, [line], capped
 
 
 def _read_run(run_dir):

@@ -9,17 +9,18 @@ Results are written to a deterministic directory layout:
 
     <out>/<experiment-name>/<run-id>/
         config.json        resolved keys the command reads, defaults expanded
-        report.json        optimizer outcome
+        report.json        status, iterations, final_cost (+ cycle period)
         cost_history.csv   iteration, cost
         control.csv        t, u_x, u_y, u_z        (uT, interval left nodes)
         field.csv          t, v_x, v_y, v_z        (uT, grid nodes)
         switching.csv      t, phi_x, phi_y, phi_z  (grid nodes)
 
-plus flat summary tables (sweep.csv, yield_loss.csv) for the sweep studies.
-The run id hashes the name and that document, so identical configs
-land in identical directories with bit-identical files.  write_run is the
-one writer, and the CLI makes its one call; it moves each finished file
-into place atomically.  The studies only compute and return.
+for an optimize run; sweep-gamma writes sweep.csv, yield-loss yield_loss.csv
+and summary.json, and grid-study a report.json summary plus runs.csv (index,
+status, J: one row per start).  The run id hashes the name and config.json,
+so identical configs land in identical directories with bit-identical files.
+write_run is the one writer, and the CLI makes its one call; it moves each
+finished file into place atomically.  The studies only compute and return.
 
 Configs carry fields in uT (controls, prisms, filter state); hyperfine rows
 are mT.  A filter v0 may be the string "matched": the value at t = 0 of the
@@ -449,25 +450,28 @@ def run_optimizer(problem: ControlProblem, u0: ControlSignal, config: Experiment
     return ipmp_optimize(problem, u0, max_iters=config.ipmp_max_iters)
 
 
-def resolve_matched_v0(config: ExperimentConfig):
-    """Replace v0="matched" by the no-filter optimal field at t = 0.
+def _nofilter_twin(config: ExperimentConfig):
+    """(config with v0="matched" resolved, report) of run_single on the
+    no-filter twin of `config`, which starts from the same control."""
+    _, twin = run_single(replace(config, filter_enabled=False, v0=(0.0, 0.0, 0.0)))
+    if isinstance(config.v0, str):  # the twin's optimal control is its field
+        config = replace(config, v0=tuple(map(float, twin.final_control.values[0])))
+    return config, twin
 
-    The no-filter problem is solved from the same starting control; its
-    optimal control equals its field, and the value on the first interval
-    seeds the filter.  Returns (resolved config, no-filter report), or
-    (config, None) when v0 is already a vector.
-    """
-    if not isinstance(config.v0, str):
-        return config, None
-    nofilter = replace(config, filter_enabled=False, v0=(0.0, 0.0, 0.0))
-    _, report = run_single(nofilter)
-    v0 = tuple(float(c) for c in report.final_control.values[0])
-    return replace(config, v0=v0), report
+
+def resolve_matched_v0(config: ExperimentConfig):
+    """Replace v0="matched" by the no-filter optimal field at t = 0.  The
+    config is checked as a single run's first, so a matched v0 with the
+    filter off is a ConfigError before the twin is solved."""
+    if isinstance(config.v0, str):
+        config_from_dict(config.to_dict("optimize"), "optimize")
+        config = _nofilter_twin(config)[0]
+    return config
 
 
 def run_single(config: ExperimentConfig):
     """One optimization run; returns (resolved config, report)."""
-    config, _ = resolve_matched_v0(config)
+    config = resolve_matched_v0(config)
     problem = build_problem(config)
     report = run_optimizer(problem, initial_control(config, problem), config)
     return config, report
@@ -478,7 +482,7 @@ def simulate(config: ExperimentConfig):
 
     Returns (resolved config, problem, fields, forward ensemble, cost).
     """
-    config, _ = resolve_matched_v0(config)
+    config = resolve_matched_v0(config)
     problem = build_problem(config)
     fields, forward, cost = problem.evaluate(initial_control(config, problem))
     return config, problem, fields, forward, cost
@@ -503,19 +507,16 @@ def gamma_sweep(config: ExperimentConfig):
     """Optimize at each of sweep.gammas, then append the no-filter baseline
     row; returns (config it ran, with v0="matched" resolved, rows).
 
-    A MaxIters run is recorded with its status, not raised.  v0="matched"
-    is resolved once and shared by every row, and the no-filter optimum it
-    came from doubles as the baseline.
+    A MaxIters run is recorded with its status, not raised.  The baseline
+    is solved first, and v0="matched" is resolved from it and shared by
+    every row.
     """
-    config, baseline_report = resolve_matched_v0(config)
+    config, baseline = _nofilter_twin(config)
     rows = []
     for gamma in config.gammas:
         _, report = run_single(replace(config, filter_enabled=True, gamma=gamma))
         rows.append(SweepRow(gamma, report.final_cost, report.status))
-    if baseline_report is None:
-        nofilter = replace(config, filter_enabled=False, v0=(0.0, 0.0, 0.0))
-        _, baseline_report = run_single(nofilter)
-    rows.append(SweepRow(None, baseline_report.final_cost, baseline_report.status))
+    rows.append(SweepRow(None, baseline.final_cost, baseline.status))
     return config, rows
 
 
@@ -592,13 +593,10 @@ class UniquenessReport:
 
     config: ExperimentConfig
     classification: str
-    statuses: tuple
-    costs: tuple
     max_pairwise_ctrl: float
     max_pairwise_cost: float
     family_split: ControlComparison
-    controls: tuple
-    reports: tuple
+    reports: tuple  # one OptimizerReport per start, in start order
 
 
 def uniqueness_study(config: ExperimentConfig, vertices=STUDY_VERTICES):
@@ -610,27 +608,25 @@ def uniqueness_study(config: ExperimentConfig, vertices=STUDY_VERTICES):
     regularizes away the start dependence only makes sense when the runs
     share one problem.
     """
-    config, _ = resolve_matched_v0(replace(config, method="ipmp"))
+    config = resolve_matched_v0(replace(config, method="ipmp"))
     problem = build_problem(config)
     starts = []
     for vertex in vertices:
         starts.extend(grid_initializers(vertex, problem.grid, problem.prism))
 
-    reports = [run_optimizer(problem, u0, config) for u0 in starts]
+    reports = tuple(run_optimizer(problem, u0, config) for u0 in starts)
 
     h = problem.grid.h
     n = len(reports) // len(vertices)  # the first run of the second family
     controls = [r.final_control.values for r in reports]
-    costs = tuple(r.final_cost for r in reports)
+    costs = [r.final_cost for r in reports]
     max_ctrl = max_cost = 0.0
     for a, b in itertools.combinations(range(len(reports)), 2):
         cmp = compare_controls(controls[a], controls[b], costs[a], costs[b], h)
         max_ctrl = max(max_ctrl, cmp.rel_ctrl)
         max_cost = max(max_cost, cmp.rel_cost)
     family_split = compare_controls(controls[0], controls[n], costs[0], costs[n], h)
-
-    statuses = tuple(r.status for r in reports)
-    if all(s == STATUS_OSCILLATING for s in statuses):
+    if all(r.status == STATUS_OSCILLATING for r in reports):
         classification = "Oscillating"
     elif max_ctrl == 0.0:
         classification = "Unique"
@@ -639,13 +635,10 @@ def uniqueness_study(config: ExperimentConfig, vertices=STUDY_VERTICES):
     return UniquenessReport(
         config=config,
         classification=classification,
-        statuses=statuses,
-        costs=costs,
         max_pairwise_ctrl=max_ctrl,
         max_pairwise_cost=max_cost,
         family_split=family_split,
-        controls=tuple(r.final_control for r in reports),
-        reports=tuple(reports),
+        reports=reports,
     )
 
 
@@ -706,7 +699,6 @@ def report_document(report: OptimizerReport):
         "status": report.status,
         "iterations": report.iterations,
         "final_cost": float(report.final_cost),
-        "cost_history": [float(c) for c in report.cost_history],
     }
     if report.cycle_members is not None:
         doc["cycle"] = {"period": len(report.cycle_members)}

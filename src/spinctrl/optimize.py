@@ -24,7 +24,8 @@ interval's left node.  A fixed point (synthesis returns its input) is an
 exact PMP point.  The sweep map is deterministic and takes its values from
 the bounds and u0, a finite set, so it reaches a fixed point or a cycle
 (typically of period two at weak filtering).  IPMP stops on the first
-candidate equal to an earlier iterate and reports the best-cost member.
+candidate equal to an earlier iterate and reports the best-cost member; a
+run that reaches max_iters first reports its best-cost iterate.
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ def ipmp_optimize(problem, u0, *, max_iters=IPMP_MAX_ITERS):
         phi = problem.gradient(fields, forward)[1]  # adjoint freed now, as in GPM
         solved.append((fields, phi))
         if n == max_iters:
-            return report(STATUS_MAX_ITERS, n)
+            return report(STATUS_MAX_ITERS, int(np.argmax(costs)))
         candidate = synthesize_bang_bang(phi, problem.prism, iterates[n])
         flips = int(np.count_nonzero(candidate.values != iterates[n].values))
         logger.info("ipmp iter %d cost=%.10f flips=%d", n + 1, cost, flips)

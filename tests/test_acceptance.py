@@ -322,7 +322,7 @@ def test_criterion_11_uniqueness_regularization():
             assert unique.classification == "Unique"
             assert unique.max_pairwise_ctrl == 0.0
             assert unique.max_pairwise_cost == 0.0
-            shared = unique.controls[0].values
+            shared = unique.reports[0].final_control.values
             lo = np.broadcast_to(PRISM2.lower, shared.shape)
             hi = np.broadcast_to(PRISM2.upper, shared.shape)
             assert np.all((shared == lo) | (shared == hi))

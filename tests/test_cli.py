@@ -19,6 +19,7 @@ from spinctrl.experiments import (
     reads,
     resolve_matched_v0,
     simulate,
+    uniqueness_study,
     write_csv,
 )
 from spinctrl.model import default_hyperfine
@@ -285,12 +286,15 @@ class TestOptimizeCommand:
         assert "numerical abort" in capsys.readouterr().err
 
     def test_unstable_grid_exits_2(self, tmp_path, capsys):
-        # 7 steps are too few for RK4 at p = 2: the state norms grow, which
-        # the dynamics never do, though no amplitude nears OVERFLOW_LIMIT
+        # 7 steps at p = 2 and 4 at p = 1 are too few for RK4: the state
+        # norms grow, which the dynamics never do, though no amplitude
+        # nears OVERFLOW_LIMIT
         args = ["optimize", "--out", str(tmp_path / "res")]
-        assert main(args + ["--override", "p=2", "--override", "steps=7"]) == 2
-        assert "numerical abort" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "res")
+        for p, steps in ((2, 7), (1, 4)):
+            patches = ["--override", f"p={p}", "--override", f"steps={steps}"]
+            assert main(args + patches) == 2
+            assert "numerical abort" in capsys.readouterr().err
+            assert not os.path.exists(tmp_path / "res")
 
     def test_out_env_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SPINCTRL_OUT", str(tmp_path / "envout"))
@@ -459,7 +463,7 @@ class TestSweepCommand:
     def test_matched_v0_is_recorded_resolved(self, tmp_path, capsys):
         overrides = ("steps=20", "sweep.gammas=[1.0]", "filter.v0=matched")
         assert _run_recorded_v0(tmp_path, capsys, "sweep-gamma", overrides) == (
-            list(resolve_matched_v0(load_config(None, overrides))[0].v0)
+            list(resolve_matched_v0(load_config(None, overrides)).v0)
         )
 
 
@@ -472,13 +476,37 @@ class TestGridStudyCommand:
         assert main(args) == 0
         assert "classification=" in capsys.readouterr().out
 
+    def test_run_files(self, tmp_path, capsys):
+        """report.json holds the study's summary only, and runs.csv one row
+        per start, in start order, from the study's reports."""
+        overrides = (*SIGNED_PRISM, "steps=20")
+        run_dir = _run_dir(tmp_path, capsys, "grid-study", overrides)
+        study = uniqueness_study(load_config(None, overrides, "grid-study"))
+        split = study.family_split
+        with open(os.path.join(run_dir, "report.json")) as fh:
+            assert json.load(fh) == {
+                "classification": study.classification,
+                "max_pairwise_ctrl": study.max_pairwise_ctrl,
+                "max_pairwise_cost": study.max_pairwise_cost,
+                "family_split": {
+                    "rel_ctrl": split.rel_ctrl, "rel_cost": split.rel_cost
+                },
+            }
+        with open(os.path.join(run_dir, "runs.csv"), newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["index", "status", "J"]
+        assert [(int(i), status, float(j)) for i, status, j in rows] == [
+            (i, r.status, r.final_cost) for i, r in enumerate(study.reports)
+        ]
+        assert len(rows) == 54
+
     def test_matched_v0_is_recorded_resolved(self, tmp_path, capsys):
         overrides = SIGNED_PRISM + (
             "steps=20", "u0.vector=[3,3,0]", "filter.v0=matched"
         )
         config = load_config(None, overrides)  # the study's IPMP is the default
         assert _run_recorded_v0(tmp_path, capsys, "grid-study", overrides) == (
-            list(resolve_matched_v0(config)[0].v0)
+            list(resolve_matched_v0(config).v0)
         )
 
 

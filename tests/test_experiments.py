@@ -285,10 +285,34 @@ class TestRunSingle:
             assert json.load(fh) == cfg.to_dict("optimize")  # the keys it reads
         with open(os.path.join(run_dir, "report.json")) as fh:
             doc = json.load(fh)
-        assert doc["status"] == report.status
-        assert doc["iterations"] == report.iterations
-        assert doc["final_cost"] == report.final_cost
-        assert doc["cost_history"] == [float(c) for c in report.cost_history]
+        # the summary only: the history is cost_history.csv's alone
+        assert doc == {
+            "status": report.status,
+            "iterations": report.iterations,
+            "final_cost": report.final_cost,
+        }
+        history = np.loadtxt(
+            os.path.join(run_dir, "cost_history.csv"), delimiter=",", skiprows=1
+        )
+        assert_array_equal(history[:, 0], np.arange(report.iterations + 1))
+        assert_array_equal(history[:, 1], report.cost_history)
+
+    def test_oscillating_report_adds_the_cycle(self, tmp_path):
+        cfg = replace(
+            FAST, prism_lower=(3.0, 3.0, -1.0), prism_upper=(6.0, 6.0, 2.0),
+            gamma=10.0, u0_vector=(3.0, 3.0, 0.0),
+        )
+        cfg, report = run_single(cfg)
+        assert report.status == "Oscillating"
+        files = run_files(TimeGrid(cfg.t_final, cfg.steps), report)
+        run_dir = write_run(str(tmp_path), "optimize", cfg, files)
+        with open(os.path.join(run_dir, "report.json")) as fh:
+            assert json.load(fh) == {
+                "status": "Oscillating",
+                "iterations": report.iterations,
+                "final_cost": report.final_cost,
+                "cycle": {"period": len(report.cycle_members)},
+            }
 
     def test_rerun_is_bit_identical(self, tmp_path):
         _, _, d1 = persisted_run(str(tmp_path / "a"))
@@ -358,12 +382,26 @@ def test_simulate_matches_problem_evaluate():
     assert_allclose(fields.node_values[0], rcfg.v0)
 
 
+def count_optimizer_runs(monkeypatch):
+    """A list that grows by one entry per run_optimizer call."""
+    calls = []
+    solve = experiments.run_optimizer
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(experiments, "run_optimizer", counted)
+    return calls
+
+
 def test_resolve_matched_v0_passes_a_vector_through():
-    assert resolve_matched_v0(FAST) == (FAST, None)
+    assert resolve_matched_v0(FAST) == FAST
 
 
 def test_resolve_matched_v0_uses_nofilter_start_value():
-    resolved, report = resolve_matched_v0(replace(FAST, v0="matched"))
+    resolved = resolve_matched_v0(replace(FAST, v0="matched"))
+    _, report = run_single(replace(FAST, filter_enabled=False, v0=(0.0, 0.0, 0.0)))
     assert resolved.filter_enabled
     assert resolved.v0 == tuple(report.final_control.values[0])
     # the no-filter optimum is bang-bang, so the seed sits on prism faces
@@ -392,10 +430,17 @@ class TestSweeps:
     def test_matched_sweep_hands_back_resolved_config(self):
         cfg = replace(FAST, gammas=(1.0,), v0="matched")
         config, rows = gamma_sweep(cfg)
-        resolved, report = resolve_matched_v0(cfg)
-        assert config == resolved
-        # the no-filter solve of the resolution is the baseline row
-        assert rows[-1].cost == report.final_cost
+        assert config == resolve_matched_v0(cfg)
+        # the baseline row is the no-filter twin the seed comes from
+        _, twin = run_single(replace(FAST, filter_enabled=False, v0=(0.0, 0.0, 0.0)))
+        assert (rows[-1].cost, rows[-1].status) == (twin.final_cost, twin.status)
+
+    @pytest.mark.parametrize("v0", [(3.0, 3.0, 3.0), "matched"])
+    def test_one_solve_per_gamma_plus_the_baseline(self, v0, monkeypatch):
+        calls = count_optimizer_runs(monkeypatch)
+        cfg = replace(FAST, gammas=(1.0, 10.0), v0=v0)
+        gamma_sweep(cfg)
+        assert len(calls) == len(cfg.gammas) + 1
 
     def test_persist_sweep_layout(self, tmp_path):
         rows = [
@@ -464,9 +509,7 @@ def test_uniqueness_study_structure():
         prism_upper=(6.0, 6.0, 2.0),
     )
     study = uniqueness_study(cfg)
-    assert len(study.statuses) == 54
-    assert len(study.costs) == 54
-    assert len(study.controls) == 54
+    assert len(study.reports) == 54
     assert study.classification in ("Unique", "Multiple", "Oscillating")
     assert study.max_pairwise_ctrl >= 0.0
     assert study.max_pairwise_cost >= 0.0
@@ -483,8 +526,19 @@ def test_uniqueness_study_resolves_matched_v0():
         u0_vector=(3.0, 3.0, 0.0),  # the start of the no-filter solve
     )
     study = uniqueness_study(cfg)
-    assert len(study.costs) == 54
+    assert len(study.reports) == 54
     # resolved once, with IPMP, and shared by every start
-    resolved, _ = resolve_matched_v0(replace(cfg, method="ipmp"))
+    resolved = resolve_matched_v0(replace(cfg, method="ipmp"))
     assert study.config == resolved
-    assert study.costs == uniqueness_study(resolved).costs
+    again = uniqueness_study(resolved).reports
+    assert [r.final_cost for r in study.reports] == [r.final_cost for r in again]
+
+
+@pytest.mark.parametrize("study", [run_single, simulate, uniqueness_study])
+def test_matched_v0_without_filter_rejected_before_solving(study, monkeypatch):
+    """A config built in Python is checked before the twin is solved."""
+    calls = count_optimizer_runs(monkeypatch)
+    cfg = replace(FAST, v0="matched", filter_enabled=False)
+    with pytest.raises(ConfigError, match="config key filter.v0"):
+        study(cfg)
+    assert calls == []

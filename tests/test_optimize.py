@@ -361,6 +361,32 @@ class TestIpmp:
         assert report.iterations == 1
         assert len(report.cost_history) == 2
 
+    def test_max_iters_reports_best_iterate(self):
+        """At 300-600 uT with no filter the sweeps neither settle nor
+        revisit a control in 50 iterations, and the last iterate (J =
+        0.029) is worse than the start (0.065): the run reports its best
+        iterate, as a cycle reports its best member."""
+        prism = Prism(lower=np.full(3, 300.0), upper=np.full(3, 600.0))
+        problem = ControlProblem(
+            assembly=build_model(p=1),
+            basis=triplet_states(1),
+            grid=TimeGrid(t_final=0.5, steps=200),
+            prism=prism,
+            filter_cfg=FilterConfig(gamma=1.0, v0=np.zeros(3), enabled=False),
+        )
+        u0 = constant_control([300.0, 300.0, 300.0], problem.grid, prism)
+        report = ipmp_optimize(problem, u0)
+        assert report.status == STATUS_MAX_ITERS
+        assert report.iterations == 50
+        history = report.cost_history
+        assert history[-1] < history[0] < report.final_cost
+        assert report.final_cost == history.max()
+        assert report.final_cost == pytest.approx(0.0720, abs=1e-4)
+        fields, forward, cost = problem.evaluate(report.final_control)
+        assert cost == report.final_cost
+        phi = problem.gradient(fields, forward)[1]
+        assert np.array_equal(report.final_switching, phi)
+
     def test_oscillation_detected_with_best_member(self):
         """Mixed-sign prism at gamma=10: period-2 cycle, tiny cost gap."""
         problem, u0 = cycling_problem()
