@@ -9,8 +9,6 @@ Results land under --out, the SPINCTRL_OUT environment variable, or
 stdout lines; run_command makes the one write_run call for all of them.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import itertools

@@ -7,8 +7,8 @@ The physical field v seen by the spins is either the control itself
 
     dv/dt + gamma v = gamma u,    v(0) = v0,
 
-integrated exactly interval by interval: with u = u_k constant on
-[t_k, t_{k+1}],
+integrated exactly: with u = u_k constant on [t_k, t_{k+1}], the nodes
+follow one by one at s = h, then every midpoint at s = h/2 from its node,
 
     v(t_k + s) = u_k + (v(t_k) - u_k) * exp(-gamma s).
 
@@ -60,8 +60,6 @@ tensordot and matmuls give the same rows as one-row calls.  The step
 matrices are the same scheme, with the same stage samples and sources, in
 another floating-point order, so they agree with the stage loop to rounding.
 """
-
-from __future__ import annotations
 
 from dataclasses import dataclass, field
 
@@ -119,12 +117,9 @@ class Prism:
     upper: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "lower", np.asarray(self.lower, dtype=float).reshape(3)
-        )
-        object.__setattr__(
-            self, "upper", np.asarray(self.upper, dtype=float).reshape(3)
-        )
+        for name in ("lower", "upper"):
+            value = np.asarray(getattr(self, name), dtype=float).reshape(3)
+            object.__setattr__(self, name, value)
         if np.any(self.lower > self.upper):
             raise ValueError("prism lower bound exceeds upper bound")
 
@@ -234,22 +229,16 @@ def filter_field(control: ControlSignal, cfg: FilterConfig, grid: TimeGrid):
     h = grid.h
     full = float(np.exp(-cfg.gamma * h))
     half = float(np.exp(-cfg.gamma * h / 2.0))
-    # The recursion runs over Python floats, a 3-vector at a time: numpy
-    # ops on 3-vectors cost more than the arithmetic.  The operations and
-    # their order are those of v - u, u + offset * decay, bit for bit.
+    # The node recursion runs over Python floats (numpy ops on 3-vectors
+    # cost more than the arithmetic); the midpoints follow from the nodes in
+    # one numpy step.  Both compute u + (v - u) * decay in this order.
     x, y, z = cfg.v0.tolist()
     nodes = [(x, y, z)]
-    mids = []
     for ux, uy, uz in u.tolist():
-        ox, oy, oz = x - ux, y - uy, z - uz
-        mids.append((ux + ox * half, uy + oy * half, uz + oz * half))
-        x, y, z = ux + ox * full, uy + oy * full, uz + oz * full
+        x, y, z = ux + (x - ux) * full, uy + (y - uy) * full, uz + (z - uz) * full
         nodes.append((x, y, z))
-    return FieldTrajectory(
-        node_values=np.array(nodes),
-        midpoint_values=np.array(mids),
-        piecewise_constant=False,
-    )
+    nodes = np.array(nodes)
+    return FieldTrajectory(nodes, u + (nodes[:-1] - u) * half)
 
 
 def _check_amplitude(sizes, bound, first, h, backward=False):

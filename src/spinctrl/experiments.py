@@ -27,8 +27,6 @@ are mT.  A filter v0 may be the string "matched": the value at t = 0 of the
 optimal field of run_single on the no-filter twin, from the same start.
 """
 
-from __future__ import annotations
-
 import csv
 import hashlib
 import itertools
@@ -36,6 +34,7 @@ import json
 import numbers
 import os
 import sys
+import uuid
 from dataclasses import dataclass, replace
 from fnmatch import fnmatchcase
 
@@ -175,13 +174,15 @@ class ExperimentConfig:
 
 
 def set_key(document, key, value):
-    """Set dotted `key` in a nested document, adding sections as needed."""
+    """Set dotted `key` in a nested document, adding sections as needed; the
+    document and every section on the way must be objects."""
     *sections, leaf = key.split(".")
     node = document
     for section in sections:
-        node = node.setdefault(section, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"config key {key} collides with a non-object value")
+        if isinstance(node, dict):
+            node = node.setdefault(section, {})
+    if not isinstance(node, dict):
+        raise ConfigError(f"config key {key} collides with a non-object value")
     node[leaf] = value
     return document
 
@@ -507,10 +508,12 @@ def gamma_sweep(config: ExperimentConfig):
     """Optimize at each of sweep.gammas, then append the no-filter baseline
     row; returns (config it ran, with v0="matched" resolved, rows).
 
-    A MaxIters run is recorded with its status, not raised.  The baseline
-    is solved first, and v0="matched" is resolved from it and shared by
-    every row.
+    The config passes sweep-gamma's checks first, so one built in Python
+    is rejected before any solve, as on the CLI.  A MaxIters run is
+    recorded with its status, not raised.  The baseline is solved first,
+    and v0="matched" is resolved from it and shared by every row.
     """
+    config_from_dict(config.to_dict("sweep-gamma"), "sweep-gamma")
     config, baseline = _nofilter_twin(config)
     rows = []
     for gamma in config.gammas:
@@ -672,15 +675,17 @@ def write_run(out, name, config, files):
     """Write config.json plus `files` to <out>/<name>/<run id>/.
 
     `files` maps a file name to a JSON document or, for *.csv names, a
-    (header, rows) table.  Each file is written to <file>.tmp and moved
-    into place with os.replace, so a failed write leaves the files of an
-    earlier identical run as they were.  Returns the run directory.
+    (header, rows) table.  Each file is written to a temp file of its own
+    and moved into place with os.replace, so a failed write leaves the
+    files of an earlier identical run as they were, and two writers of one
+    run do not remove each other's temp files.  Returns the run directory.
     """
     run_dir = os.path.join(out, name, run_id(config, name))
     os.makedirs(run_dir, exist_ok=True)
     for filename, content in {"config.json": config.to_dict(name), **files}.items():
         path = os.path.join(run_dir, filename)
-        tmp = path + ".tmp"
+        # not mkstemp, whose 0600 mode os.replace would give the run's files
+        tmp = f"{path}.{uuid.uuid4().hex}.tmp"
         try:
             if filename.endswith(".csv"):
                 write_csv(tmp, *content)

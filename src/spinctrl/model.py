@@ -30,8 +30,6 @@ for j = 2**p + 1 .. 2**(p+1) (1-based); the symmetric sign is what makes
 every member an eigenvector of P_T.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

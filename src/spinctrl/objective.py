@@ -38,8 +38,6 @@ floats, which on 3-vectors is cheaper than numpy, in the same order of
 operations.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from .dynamics import (
@@ -93,7 +91,7 @@ def _kernel_coefficients(x):
         return a, b
     one_minus_q = -np.expm1(-x)
     b = (one_minus_q - x * np.exp(-x)) / x
-    return one_minus_q - b, b
+    return float(one_minus_q - b), float(b)
 
 
 def gradient_integrand(
@@ -125,7 +123,6 @@ def switching_function(
     if not cfg.enabled:
         return m
     a, b = _kernel_coefficients(cfg.gamma * grid.h)
-    a, b = float(a), float(b)
     decay = float(np.exp(-cfg.gamma * grid.h))
     # w[k] = decay * w[k + 1] + a * m[k] + b * m[k + 1], over Python floats
     # (cheaper than numpy ops on 3-vectors) in the same order, bit for bit.

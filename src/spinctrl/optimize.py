@@ -28,8 +28,6 @@ candidate equal to an earlier iterate and reports the best-cost member; a
 run that reaches max_iters first reports its best-cost iterate.
 """
 
-from __future__ import annotations
-
 import logging
 from dataclasses import dataclass
 
@@ -162,7 +160,6 @@ def gpm_optimize(problem, u0, *, max_iters=GPM_MAX_ITERS, step_scale=1.0):
     tiny = 1.0e-300
     u = u0
     u_prev = g_prev = None
-    lambda_first = None
     cost_history = []
     status = STATUS_MAX_ITERS
     for n in range(max_iters + 1):
@@ -190,8 +187,7 @@ def gpm_optimize(problem, u0, *, max_iters=GPM_MAX_ITERS, step_scale=1.0):
         # the bang-bang synthesis rule, which reads phi at the same nodes
         grad = phi[:-1]
         if n == 0:
-            lambda_first = _first_step_size(problem.prism, grad)
-            step = lambda_first
+            step = lambda_first = _first_step_size(problem.prism, grad)
         else:
             step = step_scale * bb_step(
                 u_prev.values,

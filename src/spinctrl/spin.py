@@ -19,8 +19,6 @@ is forced by idempotency (a 1/3 sometimes seen in print fails it).
 All matrices are dense complex numpy arrays.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

@@ -223,6 +223,16 @@ class TestValidate:
         assert main(["validate", "--config", "/no/such/file.json"]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", ["steps=20", "filter.gamma=2"])
+    @pytest.mark.parametrize("document", [[1, 2], "x", 3], ids=["list", "str", "int"])
+    def test_override_on_non_object_document_exits_1(
+        self, document, override, tmp_path, capsys
+    ):
+        path = _write_config(tmp_path, document)
+        assert main(["validate", "--config", path, "--override", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+
 
 class TestOptimizeCommand:
     def test_end_to_end_run(self, tmp_path, capsys):
@@ -456,7 +466,8 @@ class TestSweepCommand:
         assert "gamma=1.0: J=" in out
         assert "gamma=nofilter: J=" in out
         run_dir = out.rsplit("run=", 1)[1].strip()
-        lines = open(os.path.join(run_dir, "sweep.csv")).read().splitlines()
+        with open(os.path.join(run_dir, "sweep.csv")) as fh:
+            lines = fh.read().splitlines()
         assert lines[0] == "gamma,J,status"
         assert len(lines) == 3
 

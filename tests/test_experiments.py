@@ -330,10 +330,11 @@ class TestRunSingle:
         _, _, run_dir = persisted_run(str(tmp_path))
 
         def files():
-            return {
-                name: open(os.path.join(run_dir, name), "rb").read()
-                for name in os.listdir(run_dir)
-            }
+            contents = {}
+            for name in os.listdir(run_dir):
+                with open(os.path.join(run_dir, name), "rb") as fh:
+                    contents[name] = fh.read()
+            return contents
 
         before = files()
 
@@ -348,6 +349,34 @@ class TestRunSingle:
         after = files()
         assert not [name for name in after if name.endswith(".tmp")]
         assert after == before
+
+    def test_second_writer_of_one_run_breaks_neither(self, tmp_path, monkeypatch):
+        """A writer of the same run that finishes while the first holds its
+        temp file leaves both runs written in full."""
+        cfg, report = run_single(FAST)
+        grid = TimeGrid(cfg.t_final, cfg.steps)
+
+        def write(out):  # run_files' tables are read once
+            return write_run(out, "optimize", cfg, run_files(grid, report))
+
+        clean = write(str(tmp_path / "clean"))
+        move = os.replace
+        held = []  # the first writer's temp file when the second one ran
+
+        def interleaved(src, dst):
+            if not held:  # the second writer runs to the end first
+                held.append(src)
+                write(str(tmp_path))
+            move(src, dst)
+
+        monkeypatch.setattr(os, "replace", interleaved)
+        run_dir = write(str(tmp_path))
+        assert os.path.dirname(held[0]) == run_dir
+        assert sorted(os.listdir(run_dir)) == sorted(os.listdir(clean))
+        for name in os.listdir(clean):
+            with open(os.path.join(clean, name), "rb") as a:
+                with open(os.path.join(run_dir, name), "rb") as b:
+                    assert a.read() == b.read(), name
 
     def test_control_csv_contents(self, tmp_path):
         cfg, report, run_dir = persisted_run(str(tmp_path))
@@ -442,6 +471,13 @@ class TestSweeps:
         gamma_sweep(cfg)
         assert len(calls) == len(cfg.gammas) + 1
 
+    @pytest.mark.parametrize("gammas", [(), (-1.0,)], ids=["empty", "negative"])
+    def test_sweep_built_in_python_is_checked_first(self, gammas, monkeypatch):
+        calls = count_optimizer_runs(monkeypatch)
+        with pytest.raises(ConfigError, match=r"config key sweep\.gammas "):
+            gamma_sweep(replace(FAST, gammas=gammas))
+        assert calls == []
+
     def test_persist_sweep_layout(self, tmp_path):
         rows = [
             SweepRow(gamma=1.0, cost=0.25, status="Converged"),
@@ -454,7 +490,8 @@ class TestSweeps:
             FAST,
             {"sweep.csv": (("gamma", "J", "status"), table)},
         )
-        lines = open(os.path.join(run_dir, "sweep.csv")).read().splitlines()
+        with open(os.path.join(run_dir, "sweep.csv")) as fh:
+            lines = fh.read().splitlines()
         assert lines[0] == "gamma,J,status"
         assert lines[1] == "1.0,0.25,Converged"
         assert lines[2] == "nofilter,0.26,Converged"
